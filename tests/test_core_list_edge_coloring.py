@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import parameters
@@ -149,6 +152,74 @@ class TestSolver:
         colors = solve_relaxed_instance(graph, bipartition, reversed_lists)
         assert set(colors.keys()) == set(graph.edges())
         assert list_coloring_violations(graph, colors, reversed_lists) == []
+
+
+def coloring_digest(colors):
+    """A short stable fingerprint of a coloring keyed by edge index."""
+    blob = json.dumps(sorted(colors.items())).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestListInstancePins:
+    """Exact outputs on sorted non-uniform list instances.
+
+    The determinism goldens only cover the uniform (2Δ−1) instance; these
+    pins hold the generator-built list instances.  Two parts and leaf
+    degree 4 keep the within-part degrees above the leaf threshold, so the
+    Lemma D.2 color-space splits are really exercised (non-zero
+    ``list-solver-split-level`` rounds), not just its greedy passes.
+    """
+
+    PARAMS = parameters.PracticalParameters(list_reduction_parts=2, leaf_degree=4)
+
+    # slack -> (digest, num_colors, rounds, round breakdown)
+    D4_PINS = {
+        1.0: ("6f198127d7709ec8", 48, 2267, {
+            "defective-poly-reduction": 1, "defective-local-search": 6,
+            "degree-reduction-split-level": 578, "list-solver-split-level": 1049,
+            "linial": 57, "greedy-edge-classes": 576,
+        }),
+        1.5: ("4d7eaa2e6f6a0d71", 56, 2212, {
+            "defective-poly-reduction": 1, "defective-local-search": 6,
+            "degree-reduction-split-level": 578, "list-solver-split-level": 990,
+            "linial": 57, "greedy-edge-classes": 580,
+        }),
+    }
+
+    def list_instance(self, graph, slack, seed):
+        lists, space = generators.list_edge_coloring_lists(graph, slack=slack, seed=seed)
+        return ListEdgeColoringInstance(graph, {e: lists[e] for e in graph.edges()}, space)
+
+    @pytest.mark.parametrize("slack", sorted(D4_PINS))
+    def test_list_edge_coloring_pinned(self, slack):
+        graph = generators.random_regular_graph(96, 32, seed=21)
+        instance = self.list_instance(graph, slack, seed=4)
+        tracker = RoundTracker()
+        result = list_edge_coloring(graph, instance=instance, params=self.PARAMS, tracker=tracker)
+        assert list_coloring_violations(graph, result.colors, instance.lists) == []
+        digest, num_colors, rounds, breakdown = self.D4_PINS[slack]
+        assert coloring_digest(result.colors) == digest
+        assert (result.num_colors, result.rounds) == (num_colors, rounds)
+        assert tracker.breakdown == breakdown
+
+    def test_partial_coloring_with_existing_colors_pinned(self):
+        graph, bipartition = generators.regular_bipartite_graph(32, 12, seed=3)
+        instance = self.list_instance(graph, 1.5, seed=6)
+        existing = {}
+        for e in sorted(graph.edges())[::9]:
+            used = {existing[f] for f in graph.adjacent_edges(e) if f in existing}
+            existing[e] = next(c for c in instance.lists[e] if c not in used)
+        tracker = RoundTracker()
+        newly = partially_color_bipartite(
+            graph, bipartition, instance, list(graph.edges()), existing,
+            params=self.PARAMS, tracker=tracker,
+        )
+        assert (len(existing), len(newly)) == (43, 341)
+        assert coloring_digest(newly) == "8fbaea10a65db77d"
+        assert tracker.breakdown == {
+            "degree-reduction-split-level": 93, "list-solver-split-level": 225,
+            "linial": 4, "greedy-edge-classes": 114,
+        }
 
 
 class TestDegreeReduction:
