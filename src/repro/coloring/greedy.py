@@ -34,12 +34,14 @@ class UsedColorMasks:
 
     This is the availability state the greedy passes used to build
     internally and discard per call, extracted so long-lived callers can
-    own and maintain *one* object across passes: the serving plane's
+    own and maintain *one* object across passes: the Theorem D.4 solve
+    (:func:`repro.core.list_edge_coloring.list_edge_coloring`) owns one
+    for its whole run and every Lemma D.3 / Lemma D.2 / greedy pass
+    below it reads and updates it in place; the serving plane's
     :class:`repro.serving.artifact.ColoringArtifact` keeps the masks
-    alive across delta repairs, and
+    alive across delta repairs; and
     :func:`greedy_edge_coloring_by_classes` accepts an instance as its
-    ``used_colors`` state (sharing it across greedy passes without
-    rebuilding).  The inconsistency checks in :meth:`assign` /
+    ``used_colors`` state.  The inconsistency checks in :meth:`assign` /
     :meth:`unassign` are deliberate: the incremental repair engine leans
     on them to turn state-corruption bugs into immediate errors instead
     of silently improper colorings.
@@ -124,6 +126,10 @@ class UsedColorMasks:
         # lowest clear bit of ``blocked`` is the lowest set bit here.
         return (~blocked & (blocked + 1)).bit_length() - 1
 
+    def blocked(self, u: int, v: int) -> int:
+        """The colors used at ``u`` or ``v``, as one mask."""
+        return self._masks[u] | self._masks[v]
+
     def smallest_available(self, u: int, v: int) -> int:
         """The smallest color free at both ``u`` and ``v``."""
         return self.smallest_free(self._masks[u] | self._masks[v])
@@ -176,7 +182,9 @@ def greedy_edge_coloring_by_classes(
     edge_set: Optional[Set[int]] = None,
     existing_colors: Optional[Dict[int, int]] = None,
     tracker: Optional[RoundTracker] = None,
-    used_colors: Optional[Sequence[Set[int]]] = None,
+    used_colors: Optional[UsedColorMasks] = None,
+    *,
+    list_masks: Optional[Dict[int, int]] = None,
 ) -> Dict[int, int]:
     """Greedy list edge coloring scheduled by the classes of ``schedule``.
 
@@ -189,20 +197,21 @@ def greedy_edge_coloring_by_classes(
         graph: the host graph (edges are referenced by index).
         schedule: a proper edge coloring of the edges to color (no two
             adjacent edges of ``edge_set`` may share a schedule class).
-        lists: optional per-edge color lists; default palette is
-            ``{0, ..., palette_size - 1}`` with ``palette_size`` defaulting
-            to ``2Δ − 1``.
+        lists: optional per-edge color lists, tried in list order;
+            default palette is ``{0, ..., palette_size - 1}`` with
+            ``palette_size`` defaulting to ``2Δ − 1``.
         tracker: one round is charged per non-empty schedule class.
-        used_colors: optional caller-owned per-node used-color state,
-            exactly reflecting ``existing_colors``: either per-node sets
-            indexed by node, or a :class:`UsedColorMasks` instance (the
-            shareable bitmask form the serving plane maintains).  When
-            given, availability reads the state directly and assignments
-            are added **in place** (callers running many greedy passes
+        used_colors: optional caller-owned :class:`UsedColorMasks`
+            exactly reflecting ``existing_colors``.  When given,
+            availability reads the state directly and assignments are
+            recorded **in place** (callers running many greedy passes
             against one growing coloring share the state instead of
             rebuilding per pass).  Requires that no target edge is
             already colored — presence-only state cannot express
             re-coloring over an existing entry.
+        list_masks: per-edge color bitmasks (bit ``c`` set iff ``c`` is
+            allowed); replaces ``lists``, and each edge takes its
+            smallest allowed free color.
 
     Returns the new colors, keyed by edge index.
     """
@@ -216,33 +225,24 @@ def greedy_edge_coloring_by_classes(
     for e in sorted(targets):
         by_class.setdefault(schedule[e], []).append(e)
     edge_u, edge_v = graph.endpoint_arrays()
-    # Availability via maintained per-node used-color state: an edge's
-    # blocked colors are exactly those used at its two endpoints, so no
-    # adjacent-edge row is sliced per query.  Three modes:
+    # Availability is an edge's *blocked* mask (bit ``c`` set iff an
+    # adjacent edge uses color ``c``), read from one of three sources:
     #
-    # * caller-owned ``used_colors`` sets (shared across greedy passes) —
+    # * caller-owned ``used_colors`` masks (shared across greedy passes) —
     #   read and updated in place;
-    # * internal per-node *bitmasks* (one int per node, bit ``c`` set iff
-    #   color ``c`` is used there), built lazily on first touch from the
-    #   node's incidence row; the smallest available palette color is one
-    #   lowest-clear-bit trick instead of a per-candidate set probe;
+    # * internal per-node masks, built lazily on first touch from the
+    #   node's incidence row;
     # * the (always exact) per-edge scan over the precomputed line-graph
     #   rows, when some target edge is already colored — presence-only
     #   state cannot express re-coloring over an existing entry.
     use_masks = False
-    use_mask_state = False
     if used_colors is not None:
         if existing_colors and any(e in existing_colors for e in targets):
             raise ValueError(
                 "used_colors requires that no target edge is already colored"
             )
-        colored: Dict[int, int] = {}  # shared-state mode neither reads nor writes it
-        use_node_sets = True
-        use_mask_state = isinstance(used_colors, UsedColorMasks)
-        used_at = used_colors
     else:
         colored = dict(existing_colors) if existing_colors else {}
-        use_node_sets = False
         use_masks = not any(e in colored for e in targets)
         if use_masks:
             masks: Dict[int, int] = {}
@@ -267,78 +267,50 @@ def greedy_edge_coloring_by_classes(
                         masks[node] = mask
                     return mask
 
+            else:
+                masks_get = masks.get
         else:
             offsets, flat = graph.edge_adjacency_csr()
     full_mask = (1 << palette_size) - 1
-    if use_masks and not scan_on_build:
-        masks_get = masks.get
+    in_list_order = lists is not None and list_masks is None
     for cls in sorted(by_class):
-        members = by_class[cls]
         round_choices: List[Tuple[int, int]] = []
-        for e in members:
-            if use_masks:
-                if scan_on_build:
-                    blocked = used_mask(edge_u[e]) | used_mask(edge_v[e])
-                else:
-                    blocked = masks_get(edge_u[e], 0) | masks_get(edge_v[e], 0)
-                if lists is None:
-                    # Smallest palette color whose bit is clear.
-                    available = ~blocked & full_mask
-                    choice = (
-                        (available & -available).bit_length() - 1 if available else None
-                    )
-                else:
-                    choice = next(
-                        (c for c in lists[e] if not (blocked >> c) & 1), None
-                    )
-            elif use_mask_state:
-                blocked = used_at.mask(edge_u[e]) | used_at.mask(edge_v[e])
-                if lists is None:
-                    available = ~blocked & full_mask
-                    choice = (
-                        (available & -available).bit_length() - 1 if available else None
-                    )
-                else:
-                    choice = next(
-                        (c for c in lists[e] if not (blocked >> c) & 1), None
-                    )
-            elif use_node_sets:
-                candidates: Iterable[int] = (
-                    lists[e] if lists is not None else range(palette_size)
-                )
-                used_u = used_at[edge_u[e]]
-                used_v = used_at[edge_v[e]]
-                choice = next(
-                    (c for c in candidates if c not in used_u and c not in used_v), None
-                )
+        for e in by_class[cls]:
+            if used_colors is not None:
+                blocked = used_colors.blocked(edge_u[e], edge_v[e])
+            elif not use_masks:
+                blocked = 0
+                for f in flat[offsets[e] : offsets[e + 1]]:
+                    color = colored.get(f)
+                    if color is not None:
+                        blocked |= 1 << color
+            elif scan_on_build:
+                blocked = used_mask(edge_u[e]) | used_mask(edge_v[e])
             else:
-                candidates = lists[e] if lists is not None else range(palette_size)
-                used = {
-                    colored[f]
-                    for f in flat[offsets[e] : offsets[e + 1]]
-                    if f in colored
-                }
-                choice = next((c for c in candidates if c not in used), None)
+                blocked = masks_get(edge_u[e], 0) | masks_get(edge_v[e], 0)
+            if in_list_order:
+                choice = next((c for c in lists[e] if not (blocked >> c) & 1), None)
+            else:
+                allowed = full_mask if list_masks is None else list_masks[e]
+                available = allowed & ~blocked
+                # Smallest allowed color whose bit is clear.
+                choice = (available & -available).bit_length() - 1 if available else None
             if choice is None:
                 raise ValueError(f"edge {e} has no available color; its list/palette is too small")
             round_choices.append((e, choice))
         for e, c in round_choices:
-            if used_colors is None:
-                # The lazy builds and the scan fallback read ``colored``;
-                # caller-owned sets are the only state the shared mode keeps.
-                colored[e] = c
             result[e] = c
+            if used_colors is not None:
+                used_colors.assign(edge_u[e], edge_v[e], c)
+                continue
+            # The lazy builds and the scan fallback read ``colored``.
+            colored[e] = c
             if use_masks:
                 bit = 1 << c
                 u = edge_u[e]
                 v = edge_v[e]
                 masks[u] = masks.get(u, 0) | bit
                 masks[v] = masks.get(v, 0) | bit
-            elif use_mask_state:
-                used_at.assign(edge_u[e], edge_v[e], c)
-            elif use_node_sets:
-                used_at[edge_u[e]].add(c)
-                used_at[edge_v[e]].add(c)
         if tracker is not None:
             tracker.charge(1, "greedy-edge-classes")
     return result

@@ -17,6 +17,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from repro.graphs.core import Graph
 
 
+def color_mask(colors: Iterable[int]) -> int:
+    """The bitmask of a set of colors: bit ``c`` set iff ``c`` is in it."""
+    mask = 0
+    for c in colors:
+        mask |= 1 << c
+    return mask
+
+
 @dataclass
 class ListEdgeColoringInstance:
     """A list edge coloring instance on a (sub)graph.
@@ -38,6 +46,9 @@ class ListEdgeColoringInstance:
     color_space: int
     edge_set: Set[int] = field(default_factory=set)
     validate: InitVar[bool] = True
+    _list_masks: Optional[Dict[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self, validate: bool) -> None:
         if not self.edge_set:
@@ -56,29 +67,18 @@ class ListEdgeColoringInstance:
                     if not (0 <= c < space):
                         raise ValueError(f"color {c} of edge {e} outside the color space")
 
-    # ------------------------------------------------------------------ sortedness
-    def lists_are_sorted(self) -> bool:
-        """Whether every list is ascending (computed once, then cached).
+    # ------------------------------------------------------------------ masks
+    def list_masks(self) -> Dict[int, int]:
+        """Every list as a color bitmask (computed once, then cached).
 
-        The Lemma D.2 solver splits color spaces by value; on sorted
-        lists that is one bisect per edge instead of a per-color filter.
-        All downstream filtering is order-preserving, so callers that
-        derive their lists from this instance can forward the cached
-        answer instead of re-detecting per call.
+        Bit ``c`` of edge ``e``'s mask is set iff ``c ∈ L_e``.  The
+        list solver works on these masks: its availability test and its
+        value splits are mask ANDs and ``bit_count`` calls instead of
+        per-color scans of the lists.
         """
-        cached = getattr(self, "_lists_sorted_cache", None)
-        if cached is None:
-            cached = all(
-                all(lst[i] <= lst[i + 1] for i in range(len(lst) - 1))
-                for lst in self.lists.values()
-            )
-            self._lists_sorted_cache = cached
-        return cached
-
-    def mark_lists_sorted(self) -> None:
-        """Record that every list is ascending (constructors that build
-        the lists sorted call this to skip the detection pass)."""
-        self._lists_sorted_cache = True
+        if self._list_masks is None:
+            self._list_masks = {e: color_mask(self.lists[e]) for e in self.edge_set}
+        return self._list_masks
 
     # ------------------------------------------------------------------ degrees
     def node_degrees(self) -> List[int]:
@@ -173,12 +173,12 @@ def uniform_instance(graph: Graph, num_colors: Optional[int] = None) -> ListEdge
     palette = list(range(num_colors))
     lists = {e: list(palette) for e in graph.edges()}
     # Every list is a fresh copy of the same in-range palette: skip the
-    # per-list range validation, and pre-answer the (ascending by
-    # construction) sortedness query the Lemma D.2 solver asks.
+    # per-list range validation, and give every edge the palette's mask
+    # without a per-color pass.
     instance = ListEdgeColoringInstance(
         graph=graph, lists=lists, color_space=num_colors, validate=False
     )
-    instance.mark_lists_sorted()
+    instance._list_masks = dict.fromkeys(lists, (1 << num_colors) - 1)
     return instance
 
 

@@ -488,9 +488,19 @@ class PhaseTimer:
         """Time one named phase (accumulates on repeated entry)."""
         return PhaseTimer._Phase(self, phase)
 
-    def record(self, phase: str, seconds: float) -> None:
-        """Fold an externally-measured duration into the split."""
+    def record(self, phase: str, seconds: float, t0: Optional[float] = None) -> None:
+        """Fold an externally-measured duration into the split.
+
+        Also emits the phase's span when tracing is enabled; ``t0`` is
+        the interval's wall-clock start (default: it has just ended).
+        """
         self.durations[phase] = self.durations.get(phase, 0.0) + seconds
+        tracer().emit(
+            f"{self.name}.{phase}",
+            time.time() - seconds if t0 is None else t0,
+            seconds,
+            **self.attrs,
+        )
 
     def as_timing(self, digits: int = 4) -> Dict[str, float]:
         """The split as a ``timing``-style sub-dict (rounded seconds)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro import api
 from repro.obs import PhaseTimer
@@ -62,23 +62,33 @@ def get_runner(name: str):
         raise KeyError(f"unknown runner {name!r}; registered runners: {known}") from None
 
 
-def _timed(ctx: CellContext, run: Callable[[], object]) -> Tuple[object, float]:
+def _timed(
+    ctx: CellContext, run: Callable[[], object], phases: Optional[PhaseTimer] = None
+) -> Tuple[object, float]:
     """Run ``run`` ``ctx.repeats`` times; return (first result, best wall).
 
     The workloads are deterministic, so the repeats agree; the first
     result is kept and the minimum wall time reported (machine-noise
-    robustness, mirroring the pre-migration perf harness).
+    robustness, mirroring the pre-migration perf harness).  With
+    ``phases``, that same best repeat is recorded as the ``solve``
+    phase, so the phase split explains ``wall_seconds`` rather than the
+    sum of all repeats.
     """
     best = None
+    best_t0 = None
     first = None
     for attempt in range(max(1, ctx.repeats)):
+        t0 = time.time()
         start = time.perf_counter()
         result = run()
         wall = time.perf_counter() - start
         if best is None or wall < best:
             best = wall
+            best_t0 = t0
         if attempt == 0:
             first = result
+    if phases is not None:
+        phases.record("solve", best, t0=best_t0)
     return first, best
 
 
@@ -107,10 +117,9 @@ def run_local_coloring(ctx: CellContext) -> Dict[str, object]:
     delta = int(ctx.params["delta"])
     with phases.phase("setup"):
         graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx, lambda: api.color_edges_local(graph, scan_path=ctx.knobs.scan_path)
-        )
+    outcome, wall = _timed(
+        ctx, lambda: api.color_edges_local(graph, scan_path=ctx.knobs.scan_path), phases
+    )
     with phases.phase("verify"):
         bound = max(1, 2 * delta - 1)
         assert outcome.is_proper, f"improper coloring on n={n} delta={delta}"
@@ -146,11 +155,11 @@ def run_list_instance(ctx: CellContext) -> Dict[str, object]:
             graph, slack=float(ctx.params.get("slack", 1.0)), seed=int(ctx.params["list_seed"])
         )
         instance = ListEdgeColoringInstance(graph, {e: lists[e] for e in graph.edges()}, space)
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.color_edges_local(graph, instance=instance, scan_path=ctx.knobs.scan_path),
-        )
+    outcome, wall = _timed(
+        ctx,
+        lambda: api.color_edges_local(graph, instance=instance, scan_path=ctx.knobs.scan_path),
+        phases,
+    )
     with phases.phase("verify"):
         assert outcome.is_proper, f"improper list coloring on n={n} delta={delta}"
         violations = list_coloring_violations(graph, outcome.colors, instance.lists)
@@ -180,11 +189,11 @@ def run_congest_coloring(ctx: CellContext) -> Dict[str, object]:
     epsilon = float(ctx.params.get("epsilon", 0.5))
     with phases.phase("setup"):
         graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.color_edges_congest(graph, epsilon=epsilon, scan_path=ctx.knobs.scan_path),
-        )
+    outcome, wall = _timed(
+        ctx,
+        lambda: api.color_edges_congest(graph, epsilon=epsilon, scan_path=ctx.knobs.scan_path),
+        phases,
+    )
     with phases.phase("verify"):
         assert outcome.is_proper, f"improper congest coloring on n={n} delta={delta}"
         palette = outcome.details["palette_size"]
@@ -218,13 +227,13 @@ def run_bipartite_coloring(ctx: CellContext) -> Dict[str, object]:
         graph, bipartition = generators.regular_bipartite_graph(
             side, delta, seed=int(ctx.params["graph_seed"])
         )
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.color_edges_bipartite(
-                graph, bipartition, epsilon=epsilon, scan_path=ctx.knobs.scan_path
-            ),
-        )
+    outcome, wall = _timed(
+        ctx,
+        lambda: api.color_edges_bipartite(
+            graph, bipartition, epsilon=epsilon, scan_path=ctx.knobs.scan_path
+        ),
+        phases,
+    )
     with phases.phase("verify"):
         assert outcome.is_proper, f"improper bipartite coloring at delta={delta}"
         assert outcome.num_colors <= 4 * delta, f"color blowup at delta={delta}"
@@ -457,16 +466,16 @@ def run_linial_audit(ctx: CellContext) -> Dict[str, object]:
             generators.random_regular_graph(n, degree, seed=n), seed=n, id_space_factor=factor
         )
         network = api.build_linial_network(graph)
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.run_linial_network(
-                graph,
-                send_plane=ctx.knobs.send_plane,
-                receive_plane=ctx.knobs.receive_plane,
-                network=network,
-            ),
-        )
+    outcome, wall = _timed(
+        ctx,
+        lambda: api.run_linial_network(
+            graph,
+            send_plane=ctx.knobs.send_plane,
+            receive_plane=ctx.knobs.receive_plane,
+            network=network,
+        ),
+        phases,
+    )
     with phases.phase("verify"):
         assert outcome.congest_violations == 0, f"congest violations in Linial audit at n={n}"
         assert outcome.max_message_bits <= outcome.congest_budget_bits, (
@@ -1035,19 +1044,24 @@ def run_serving_churn(ctx: CellContext) -> Dict[str, object]:
     best = None
     session = None
     responses = None
-    with phases.phase("solve"):
-        for attempt in range(max(1, ctx.repeats)):
-            candidate = make_session(resolved)
-            start = time.perf_counter()
-            answered = candidate.serve_batch(requests)
-            wall = time.perf_counter() - start
-            if best is None or wall < best:
-                best = wall
-            if attempt == 0:
-                session = candidate
-                responses = answered
+    best_t0 = None
+    for attempt in range(max(1, ctx.repeats)):
+        candidate = make_session(resolved)
+        t0 = time.time()
+        start = time.perf_counter()
+        answered = candidate.serve_batch(requests)
+        wall = time.perf_counter() - start
+        if best is None or wall < best:
+            best = wall
+            best_t0 = t0
+        if attempt == 0:
+            session = candidate
+            responses = answered
+    # The solve phase is the repeat ``wall_seconds`` reports.
+    phases.record("solve", best, t0=best_t0)
 
-        # Per-delta full-recompute baseline twin (timed once).
+    # Per-delta full-recompute baseline twin (timed once).
+    with phases.phase("baseline"):
         baseline = make_session("recompute")
         start = time.perf_counter()
         baseline_responses = baseline.serve_batch(requests)

@@ -97,10 +97,15 @@ class _Handler(socketserver.StreamRequestHandler):
                 try:
                     line = raw.decode("utf-8").strip()
                 except UnicodeDecodeError:
-                    line = ""
-                if not line:
-                    continue
-                response = daemon.handle_line(line)
+                    # Not UTF-8, so not JSON text: answered like any
+                    # other malformed line (one response per request line).
+                    response = protocol.error_response(
+                        "malformed-request", "malformed request: the line is not UTF-8"
+                    )
+                else:
+                    if not line:
+                        continue
+                    response = daemon.handle_line(line)
                 self.wfile.write((protocol.encode_response(response) + "\n").encode("utf-8"))
                 self.wfile.flush()
                 if response.get("op") == "shutdown" and response.get("ok"):

@@ -145,13 +145,26 @@ class TestSolver:
         assert colors == self.REGRESSION_PIN
 
     def test_solver_handles_unsorted_lists(self):
-        # Unsorted lists take the generic (non-bisect) filter path; the
-        # result must still be a valid list coloring from the same lists.
+        # Lists are sets of colors: the order they are given in changes
+        # nothing, so reversed lists reproduce the sorted-list pin.
         graph, bipartition, lists = self.regression_instance()
         reversed_lists = {e: list(reversed(lst)) for e, lst in lists.items()}
         colors = solve_relaxed_instance(graph, bipartition, reversed_lists)
         assert set(colors.keys()) == set(graph.edges())
         assert list_coloring_violations(graph, colors, reversed_lists) == []
+        assert colors == self.REGRESSION_PIN
+
+    def test_unsorted_list_takes_smallest_free_color(self):
+        # Path 0-1-2: edge 0 = {0, 1} is colored 1 already, edge 1 = {1, 2}
+        # takes the smallest free color of its list, not the first listed.
+        from repro.graphs.bipartite import Bipartition
+        from repro.graphs.core import Graph
+
+        graph = Graph(3, [(0, 1), (1, 2)])
+        colors = solve_relaxed_instance(
+            graph, Bipartition([0, 1, 0]), {1: [9, 4, 1, 6]}, existing_colors={0: 1}
+        )
+        assert colors == {1: 4}
 
 
 def coloring_digest(colors):

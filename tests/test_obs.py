@@ -241,12 +241,23 @@ class TestTracer:
         names = [e["name"] for e in read_events(path)]
         assert names.count("runtime.phase.solve") == 2
         assert names.count("runtime.phase.setup") == 1
+        assert names.count("runtime.phase.verify") == 1
 
     def test_phase_timer_measures_with_tracing_off(self):
         phases = PhaseTimer("runtime.phase")
         with phases.phase("solve"):
             pass
         assert "solve" in phases.as_timing()
+
+    def test_solve_phase_is_the_repeat_wall_seconds_reports(self):
+        # The solve phase must explain ``wall_seconds`` (the best repeat),
+        # not add up every repeat.
+        from repro.runtime.workloads import RUNNERS, CellContext
+
+        ctx = CellContext(params={"n": 96, "delta": 8, "graph_seed": 1}, seed=0, repeats=3)
+        timing = RUNNERS["local_coloring"](ctx)["timing"]
+        wall = timing["wall_seconds"]
+        assert abs(timing["phases"]["solve"] - wall) <= 0.1 * wall
 
 
 # ------------------------------------------------------------------- metrics

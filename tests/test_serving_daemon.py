@@ -10,6 +10,7 @@ crash-and-replay restart and a graceful compacting shutdown.
 import json
 import os
 import signal
+import socket
 
 import pytest
 
@@ -23,12 +24,11 @@ from repro.serving import (
     ServingSession,
     build_artifact,
     compact_artifact,
+    connect,
     journal_path,
 )
 from repro.serving.daemon import (
     ColoringDaemon,
-    DaemonClient,
-    connect,
     parse_address,
     spawn_daemon_process,
 )
@@ -220,7 +220,7 @@ class TestColoringDaemon:
         daemon = ColoringDaemon(path)
         host, port = daemon.start()
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got = client.request_many(batch)
                 # malformed lines answer instead of wedging the stream
                 assert not daemon.handle_line("{not json")["ok"]
@@ -234,6 +234,22 @@ class TestColoringDaemon:
         assert final.epoch == twin_artifact.epoch
         assert final.colors == twin_artifact.colors
 
+    def test_non_utf8_line_gets_exactly_one_error_line(self, tmp_path):
+        daemon = ColoringDaemon(saved_artifact(tmp_path), journal=False)
+        host, port = daemon.start()
+        try:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(b"\xff\n")
+                sock.shutdown(socket.SHUT_WR)
+                with sock.makefile("rb") as replies:
+                    lines = replies.read().splitlines()
+        finally:
+            daemon.stop(compact=False)
+        assert len(lines) == 1
+        response = json.loads(lines[0])
+        assert response["ok"] is False
+        assert response["code"] == "malformed-request"
+
     def test_crash_without_compact_replays_from_journal(self, tmp_path):
         path = saved_artifact(tmp_path)
         twin = ServingSession(ColoringArtifact.load(path), rebase_policy=None)
@@ -243,7 +259,7 @@ class TestColoringDaemon:
         daemon = ColoringDaemon(path)
         host, port = daemon.start()
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got = client.request_many(batch)
         finally:
             daemon.stop(compact=False)  # the crash path, minus the crash
@@ -259,7 +275,7 @@ class TestColoringDaemon:
         daemon = ColoringDaemon(path, journal=False)
         host, port = daemon.start()
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 iu, iv = absent_pair(daemon.session.artifact.graph)
                 assert client.request({"op": "insert", "u": iu, "v": iv})["ok"]
             assert not os.path.exists(journal_path(path))
@@ -284,7 +300,7 @@ class TestDaemonSubprocess:
 
         process, host, port = spawn_daemon_process(path)
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got_prefix = client.request_many(batch[:cut])
         finally:
             process.send_signal(signal.SIGKILL)
@@ -296,7 +312,7 @@ class TestDaemonSubprocess:
 
         process, host, port = spawn_daemon_process(path)
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got_suffix = client.request_many(batch[cut:])
                 assert client.shutdown() == {"ok": True, "op": "shutdown"}
             assert process.wait(timeout=30) == 0
