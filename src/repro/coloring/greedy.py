@@ -23,6 +23,14 @@ from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
 
 
+def color_mask(colors: Iterable[int]) -> int:
+    """The bitmask of a set of colors: bit ``c`` set iff ``c`` is in it."""
+    mask = 0
+    for c in colors:
+        mask |= 1 << c
+    return mask
+
+
 class UsedColorMasks:
     """Shareable, updatable per-node used-color bitmask state.
 
@@ -197,8 +205,9 @@ def greedy_edge_coloring_by_classes(
         graph: the host graph (edges are referenced by index).
         schedule: a proper edge coloring of the edges to color (no two
             adjacent edges of ``edge_set`` may share a schedule class).
-        lists: optional per-edge color lists, tried in list order;
-            default palette is ``{0, ..., palette_size - 1}`` with
+        lists: optional per-edge color lists, each treated as a set:
+            an edge takes its smallest free listed color.  Default
+            palette is ``{0, ..., palette_size - 1}`` with
             ``palette_size`` defaulting to ``2Δ − 1``.
         tracker: one round is charged per non-empty schedule class.
         used_colors: optional caller-owned :class:`UsedColorMasks`
@@ -210,12 +219,13 @@ def greedy_edge_coloring_by_classes(
             already colored — presence-only state cannot express
             re-coloring over an existing entry.
         list_masks: per-edge color bitmasks (bit ``c`` set iff ``c`` is
-            allowed); replaces ``lists``, and each edge takes its
-            smallest allowed free color.
+            allowed); replaces ``lists``.
 
     Returns the new colors, keyed by edge index.
     """
     targets = set(schedule.keys()) if edge_set is None else set(edge_set)
+    if list_masks is None and lists is not None:
+        list_masks = {e: color_mask(lists[e]) for e in targets}
     if palette_size is None:
         palette_size = max(1, 2 * graph.max_degree - 1)
     result: Dict[int, int] = {}
@@ -272,7 +282,6 @@ def greedy_edge_coloring_by_classes(
         else:
             offsets, flat = graph.edge_adjacency_csr()
     full_mask = (1 << palette_size) - 1
-    in_list_order = lists is not None and list_masks is None
     for cls in sorted(by_class):
         round_choices: List[Tuple[int, int]] = []
         for e in by_class[cls]:
@@ -288,13 +297,10 @@ def greedy_edge_coloring_by_classes(
                 blocked = used_mask(edge_u[e]) | used_mask(edge_v[e])
             else:
                 blocked = masks_get(edge_u[e], 0) | masks_get(edge_v[e], 0)
-            if in_list_order:
-                choice = next((c for c in lists[e] if not (blocked >> c) & 1), None)
-            else:
-                allowed = full_mask if list_masks is None else list_masks[e]
-                available = allowed & ~blocked
-                # Smallest allowed color whose bit is clear.
-                choice = (available & -available).bit_length() - 1 if available else None
+            allowed = full_mask if list_masks is None else list_masks[e]
+            available = allowed & ~blocked
+            # Smallest allowed color whose bit is clear.
+            choice = (available & -available).bit_length() - 1 if available else None
             if choice is None:
                 raise ValueError(f"edge {e} has no available color; its list/palette is too small")
             round_choices.append((e, choice))

@@ -59,6 +59,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.coloring.defective_vertex import defective_split_coloring
 from repro.coloring.greedy import (
     UsedColorMasks,
+    color_mask,
     greedy_edge_coloring_by_classes,
     proper_edge_schedule,
 )
@@ -68,7 +69,7 @@ from repro.core.defective_edge_coloring import (
     generalized_defective_two_edge_coloring,
     half_split_lambdas,
 )
-from repro.core.slack import ListEdgeColoringInstance, color_mask, uniform_instance
+from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph

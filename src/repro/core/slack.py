@@ -14,15 +14,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+from repro.coloring.greedy import color_mask
 from repro.graphs.core import Graph
-
-
-def color_mask(colors: Iterable[int]) -> int:
-    """The bitmask of a set of colors: bit ``c`` set iff ``c`` is in it."""
-    mask = 0
-    for c in colors:
-        mask |= 1 << c
-    return mask
 
 
 @dataclass

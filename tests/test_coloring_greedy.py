@@ -76,6 +76,16 @@ class TestGreedyEdgeColoring:
         for e, c in colors.items():
             assert c in lists[e]
 
+    def test_edge_lists_are_sets(self):
+        # A list is a set of colors: the edge takes its smallest free
+        # listed color whatever the list order.
+        graph = generators.path_graph(3)
+        schedule = {0: 0, 1: 1}
+        colors = greedy_edge_coloring_by_classes(
+            graph, schedule, edge_set={1}, existing_colors={0: 1}, lists={1: [9, 4, 1, 6]}
+        )
+        assert colors == {1: 4}
+
     def test_small_palette_raises(self):
         graph = generators.star_graph(4)
         schedule, _num = linial_edge_coloring(graph)
