@@ -8,6 +8,9 @@ from repro.core.balanced_orientation import (
 )
 from repro.core.defective_edge_coloring import (
     DefectiveTwoColoringResult,
+    PartSplit,
+    SplitPart,
+    defective_two_edge_coloring_level,
     eta_from_lambda,
     generalized_defective_two_edge_coloring,
 )
@@ -28,6 +31,9 @@ __all__ = [
     "BalancedOrientationResult",
     "compute_balanced_orientation",
     "DefectiveTwoColoringResult",
+    "PartSplit",
+    "SplitPart",
+    "defective_two_edge_coloring_level",
     "eta_from_lambda",
     "generalized_defective_two_edge_coloring",
     "ListEdgeColoringInstance",

@@ -16,41 +16,46 @@ verbatim; all parameters (ν, k_φ, δ_φ, α_v(φ)) come from
 ``edge_set`` so that the recursive color-space-splitting algorithms can
 run it on subgraphs without re-indexing edges.
 
-Two interchangeable phase-loop engines are provided, selected by the
-``scan_path`` knob (or the ``REPRO_SCAN_PATH`` environment variable in
-``"auto"`` mode):
+There is one engine, plus its pure-python reference twin, selected by
+the ``scan_path`` knob (or the ``REPRO_SCAN_PATH`` environment variable
+in ``"auto"`` mode):
 
+* the **batched engine** (:func:`orient_parts`) orients all the
+  edge-disjoint parts of one recursion level at once.  The parts share
+  one flat edge layout (:class:`PartLayout`: part-major, ascending edges
+  within a part) and one compact node space keyed by (part, node).  They
+  advance in lockstep: per phase, participation, the proposal
+  directions, the per-node ``k_φ`` accept cap (a stable argsort by
+  target node plus a group-rank cut) and the accept step are array ops
+  over the whole layout, with each part's Δ̄, threshold, ``k_φ``, ``δ_φ``
+  and α gathered by part id.  A part without proposals in a phase is
+  only charged that phase's rounds, and phases in which no part
+  proposes are skipped arithmetically.  Only the (rare) token dropping
+  repair games run per part, in python.  ``"auto"`` runs it whenever
+  numpy is available, whatever the part sizes; a single instance is a
+  level of one part.
 * the **pure-python reference twin** — a direct transcription of the
-  seven steps with incremental violation tracking; and
-* the **vectorized engine** — proposal, conflict-resolution (per-node
-  ``k_φ`` capping) and accept all run as numpy array ops over the
-  instance's flat endpoint arrays: the proposal direction is one masked
-  comparison, the per-node accept cap is a stable argsort by target node
-  plus a group-rank cut, and the accept step is applied with scatter
-  ops.  Only the (rare) token dropping repair games stay in python.
+  seven steps for one part, with incremental violation tracking.
 
-Both engines are required to produce bit-identical orientations,
-in-degrees, phase counts and round charges on every instance; the
-differential test matrix (``tests/test_differential_paths.py``)
-cross-checks them end to end.
+Both are required to produce bit-identical orientations, in-degrees,
+phase counts and round charges on every part; the differential test
+matrix (``tests/test_differential_paths.py``) cross-checks them end to
+end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from functools import lru_cache
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import parameters
-from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np, resolve_use_numpy
+from repro.core.engine import _np, resolve_use_numpy
 from repro.core.token_dropping import ROUNDS_PER_PHASE, _token_dropping_core
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph
-
-# Engine selection (numpy handle, size threshold, REPRO_SCAN_PATH env
-# override) is shared with the other vectorized/reference twins — see
-# :mod:`repro.core.engine`.
-_resolve_use_numpy = resolve_use_numpy
 
 
 @dataclass
@@ -77,13 +82,6 @@ class BalancedOrientationResult:
     nu: float
     bar_delta: int
     edge_degrees: Dict[int, int] = field(default_factory=dict)
-    #: Internal fast path for the defective 2-coloring wrapper: when the
-    #: numpy engine ran, ``(ids, dirs)`` holds the ascending instance
-    #: edge ids and their final signed directions (+1 = U→V, −1 = V→U)
-    #: as int64/int8 arrays, so the RED/BLUE split needs no per-edge
-    #: dict lookups.  ``None`` on the python engine (same information,
-    #: derivable from ``orientation``).
-    _signed_dirs: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def definition_52_violations(
         self,
@@ -115,77 +113,22 @@ class BalancedOrientationResult:
         return violations
 
 
-def _instance_arrays_np(graph: Graph, bipartition: Bipartition, edges: List[int]):
-    """Vectorized instance arrays, or ``None`` off the numpy fast path.
-
-    Returns ``(ids, eu, ev, ou, ov, deg)`` int64 arrays over the
-    (ascending) instance edges — raw endpoints, oriented endpoints (U
-    side first) and per-node instance degrees.  Pure perf: the same
-    numbers the reference loops in :func:`instance_arrays` produce, via
-    one bincount and masked selects; the bichromatic check reports the
-    same first offender.
-    """
-    if (
-        _np is None
-        or len(edges) < NUMPY_SCAN_THRESHOLD
-        or not hasattr(graph, "endpoint_arrays_np")
-    ):
-        return None
-    np = _np
-    ids = np.fromiter(edges, dtype=np.int64, count=len(edges))
-    eu_all, ev_all = graph.endpoint_arrays_np()
-    eu = eu_all[ids]
-    ev = ev_all[ids]
-    sides_np = np.asarray(bipartition.sides, dtype=np.int8)
-    su = sides_np[eu]
-    sv = sides_np[ev]
-    bad = su == sv
-    if bad.any():
-        # Same first-offender error as the reference loop (edges are
-        # ascending, so the first bad position is the first bad edge).
-        first = int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"edge {edges[first]} = ({int(eu[first])}, {int(ev[first])}) is not "
-            f"bichromatic in this bipartition"
-        )
-    swap = su == 1
-    ou = np.where(swap, ev, eu)
-    ov = np.where(swap, eu, ev)
-    deg = np.bincount(np.concatenate((eu, ev)), minlength=graph.num_nodes)
-    return ids, eu, ev, ou, ov, deg
-
-
 def instance_arrays(
     graph: Graph,
     bipartition: Bipartition,
     edges: List[int],
 ) -> Tuple[List[int], Dict[int, int], List[int], List[int]]:
-    """Per-instance degree and orientation arrays, computed in one place.
+    """Per-instance degree and orientation arrays (reference engine).
 
     Returns ``(static_deg, edge_degrees, o_u, o_v)``: node degrees within
     the instance, edge degrees keyed by edge, and the oriented endpoints
     per edge (U side first) as dense arrays over the host graph's edge
     ids — so hot loops index instead of calling ``orient_edge``.  Raises
-    ``ValueError`` for edges that do not cross the bipartition.  Shared
-    by :func:`compute_balanced_orientation` and the defective 2-coloring
-    wrapper (which hands the result back via its fast path, keeping the
-    two entry points exactly equivalent).
+    ``ValueError`` for edges that do not cross the bipartition.
     """
     n = graph.num_nodes
     edge_u, edge_v = graph.endpoint_arrays()
     sides = bipartition.sides
-
-    pack = _instance_arrays_np(graph, bipartition, edges)
-    if pack is not None:
-        ids, eu, ev, ou, ov, deg = pack
-        np = _np
-        static_deg = deg.tolist()
-        edge_degrees = dict(zip(edges, (deg[eu] + deg[ev] - 2).tolist()))
-        dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_u[ids] = ou
-        dense_v[ids] = ov
-        return static_deg, edge_degrees, dense_u.tolist(), dense_v.tolist()
 
     static_deg = [0] * n
     for e in edges:
@@ -212,6 +155,62 @@ def instance_arrays(
     return static_deg, edge_degrees, o_u, o_v
 
 
+def resolve_nu(nu: Optional[float], epsilon: float) -> float:
+    """The ν an orientation runs with: ``nu`` (or ε/8), clamped to (0, 1/8]."""
+    resolved = nu if nu is not None else parameters.nu_from_epsilon(epsilon)
+    return min(parameters.NU_UPPER_BOUND, max(1e-6, resolved))
+
+
+def phase_budget(nu: float, bar_delta: int, max_phases: Optional[int] = None) -> int:
+    """Number of orientation phases (the analytic O(log Δ̄ / ν) count by default)."""
+    if max_phases is not None:
+        return max_phases
+    return parameters.orientation_phase_count(nu, bar_delta) + 1
+
+
+def _game_shape(nu: float, bar_delta: int, phase: int) -> Tuple[int, int, int]:
+    """``(k_φ, δ, game phases)`` of the phase's repair game.
+
+    δ is ``δ_φ`` capped at ``k_φ``; the game runs ``k_φ // δ − 1`` phases.
+    """
+    k_phi = parameters.k_phase(nu, bar_delta, phase)
+    delta_use = min(parameters.delta_phase(nu, bar_delta, phase), k_phi)
+    return k_phi, delta_use, max(0, k_phi // delta_use - 1)
+
+
+def _idle_game_rounds(nu: float, bar_delta: int, start: int, stop: int) -> int:
+    """Token dropping rounds charged by phases ``start .. stop − 1`` when
+    violated edges exist but no game can move a token."""
+    return sum(
+        max(1, ROUNDS_PER_PHASE * _game_shape(nu, bar_delta, p)[2])
+        for p in range(start, stop)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _thresholds(nu: float, bar_delta: int, budget: int) -> Tuple[float, ...]:
+    """The participation threshold ``(1 − ν)^φ · Δ̄`` of phases 0 .. budget."""
+    return tuple((1.0 - nu) ** phase * bar_delta for phase in range(budget + 1))
+
+
+def _next_active_phase(
+    nu: float, bar_delta: int, phase: int, budget: int, max_unor: int
+) -> int:
+    """The first phase after ``phase`` whose threshold falls below the
+    largest unoriented edge degree (``budget + 1`` if none does).
+
+    Phases before it have no participating edge: they orient nothing,
+    move no token and leave every violation flag unchanged, so only
+    their round charges need replaying.
+    """
+    if max_unor > 0:
+        schedule = _thresholds(nu, bar_delta, budget)
+        for p in range(phase + 1, budget + 1):
+            if schedule[p] < max_unor:
+                return p
+    return budget + 1
+
+
 def _fast_forward_phases(
     phase: int,
     phase_budget: int,
@@ -223,28 +222,15 @@ def _fast_forward_phases(
 ) -> Tuple[int, int, int]:
     """Replay the charges of proposal-free phases arithmetically.
 
-    A phase without participating edges orients nothing, moves no token
-    and leaves every violation flag unchanged — it only affects the round
-    account, and so does every following phase until the decaying
-    threshold drops below the current maximum unoriented edge degree.
-    Returns ``(next_phase, phases_run, extra_proposal_rounds)``; shared
-    verbatim by both engines.
+    Returns ``(next_phase, phases_run, extra_proposal_rounds)``.
     """
-    target = phase_budget + 1
-    if max_unor > 0:
-        for p in range(phase + 1, phase_budget + 1):
-            if (1.0 - resolved_nu) ** p * bar_delta < max_unor:
-                target = p
-                break
+    target = _next_active_phase(resolved_nu, bar_delta, phase, phase_budget, max_unor)
     stop = min(target, phase_budget + 1)
     if has_violated:
-        for p in range(phase, stop):
-            k_p = parameters.k_phase(resolved_nu, bar_delta, p)
-            delta_p = min(parameters.delta_phase(resolved_nu, bar_delta, p), k_p)
-            game_p = max(0, k_p // delta_p - 1)
-            local_tracker.charge(
-                max(1, ROUNDS_PER_PHASE * game_p), "orientation-token-dropping"
-            )
+        local_tracker.charge(
+            _idle_game_rounds(resolved_nu, bar_delta, phase, stop),
+            "orientation-token-dropping",
+        )
     return target, min(target - 1, phase_budget), 2 * (stop - phase)
 
 
@@ -457,9 +443,7 @@ def _phase_loop_python(
         # * every initial token count is < 2: no node ever reaches the
         #   activity threshold ``α_v + δ ≥ 2``, and inactive nodes
         #   neither freeze nor transfer tokens, so the state is frozen.
-        delta_phi = parameters.delta_phase(resolved_nu, bar_delta, phase)
-        delta_use = min(delta_phi, k_phi)
-        game_phases = max(0, k_phi // delta_use - 1)
+        _k_phi, delta_use, game_phases = _game_shape(resolved_nu, bar_delta, phase)
         max_initial = min(k_phi, max_accepted)
         if game_phases == 0 or max_initial < 2:
             local_tracker.charge(
@@ -532,119 +516,243 @@ def _phase_loop_python(
     return orientation, x, phases_run
 
 
-def _phase_loop_numpy(
-    graph: Graph,
-    n: int,
-    edges: List[int],
-    o_u: List[int],
-    o_v: List[int],
-    eta_arr: List[float],
-    static_deg: List[int],
-    bar_delta: int,
-    resolved_nu: float,
-    phase_budget: int,
-    local_tracker: RoundTracker,
-    precomputed_np=None,
-) -> Tuple[Dict[int, Tuple[int, int]], List[int], int, tuple]:
-    """The vectorized proposal/accept engine.
+@dataclass
+class PartLayout:
+    """Edge-disjoint parts of one recursion level on one flat layout.
 
-    State lives in flat arrays aligned with the (ascending) instance edge
-    list: per phase, participation, proposal direction, the per-node
-    ``k_φ`` accept cap (stable argsort by target node + group-rank cut)
-    and the accept step all run as array ops.  The violation flags of
-    step 5 are recomputed from the phase-start in-degrees in one masked
-    comparison — the python twin maintains the same set incrementally.
-    Only the token dropping repair games (step 6, already sparse) run in
-    python.  Every branch mirrors the reference engine exactly, including
-    the fast-forward over proposal-free phases and all round charges.
+    Positions are part-major, and each part's edges are ascending; part
+    ``p`` holds positions ``eoff[p]:eoff[p + 1]``.  Nodes are compacted
+    by (part, node) in ascending order, so part ``p`` holds the compact
+    nodes ``noff[p]:noff[p + 1]`` and they keep the order of their host
+    node ids.  The arrays are numpy ``int64``.
+
+    Attributes:
+        ids: host edge id per position.
+        pid: part id per position.
+        ou / ov: compact U-side / V-side endpoint per position.
+        node_graph: host node id per compact node.
+        node_pid: part id per compact node.
+        deg: compact node degree within its part.
+        dege: edge degree within its part, per position.
+        eoff / noff: the part offsets into positions / compact nodes.
+        bar_delta: Δ̄ (largest edge degree) per part.
+    """
+
+    ids: Any
+    pid: Any
+    ou: Any
+    ov: Any
+    node_graph: Any
+    node_pid: Any
+    deg: Any
+    dege: Any
+    eoff: List[int]
+    noff: List[int]
+    bar_delta: List[int]
+
+
+def segment_parts(
+    graph: Graph, bipartition: Bipartition, parts: Sequence[Sequence[int]]
+) -> PartLayout:
+    """Lay out edge-disjoint parts (each ascending) for :func:`orient_parts`.
+
+    Raises ``ValueError`` naming the first edge, in layout order, that
+    does not cross the bipartition.
     """
     np = _np
-    num = len(edges)
-    if precomputed_np is not None:
-        # The defective 2-coloring wrapper already built every instance
-        # array — no list→array conversions on this path.
-        ids, eu, ev, ou, ov, eta_np, sd = precomputed_np
-    else:
-        ids = np.fromiter(edges, dtype=np.int64, count=num)
-        edge_u_np, edge_v_np = graph.endpoint_arrays_np()
-        eu = edge_u_np[ids]
-        ev = edge_v_np[ids]
-        ou = np.fromiter((o_u[e] for e in edges), dtype=np.int64, count=num)
-        ov = np.fromiter((o_v[e] for e in edges), dtype=np.int64, count=num)
-        eta_np = np.fromiter((eta_arr[e] for e in edges), dtype=np.float64, count=num)
-        sd = np.asarray(static_deg, dtype=np.int64)
-    dege = sd[eu] + sd[ev] - 2  # static edge degrees within the instance
+    sizes = [len(part) for part in parts]
+    eoff = [0]
+    for size in sizes:
+        eoff.append(eoff[-1] + size)
+    total = eoff[-1]
+    num_parts = len(parts)
+    ids = np.fromiter(chain.from_iterable(parts), dtype=np.int64, count=total)
+    pid = np.repeat(np.arange(num_parts, dtype=np.int64), sizes)
+    eu_all, ev_all = graph.endpoint_arrays_np()
+    eu = eu_all[ids]
+    ev = ev_all[ids]
+    sides = np.asarray(bipartition.sides, dtype=np.int8)
+    su = sides[eu]
+    bad = su == sides[ev]
+    if bad.any():
+        first = int(np.nonzero(bad)[0][0])
+        raise ValueError(
+            f"edge {int(ids[first])} = ({int(eu[first])}, {int(ev[first])}) is not "
+            f"bichromatic in this bipartition"
+        )
+    swap = su == 1
+    n = graph.num_nodes
+    base = pid * n
+    keys = np.concatenate((base + np.where(swap, ev, eu), base + np.where(swap, eu, ev)))
+    node_keys, compact = np.unique(keys, return_inverse=True)
+    ou = compact[:total]
+    ov = compact[total:]
+    node_pid = node_keys // n
+    deg = np.bincount(compact, minlength=node_keys.size)
+    dege = deg[ou] + deg[ov] - 2
+    bar_delta = np.zeros(num_parts, dtype=np.int64)
+    np.maximum.at(bar_delta, pid, dege)
+    return PartLayout(
+        ids=ids,
+        pid=pid,
+        ou=ou,
+        ov=ov,
+        node_graph=node_keys % n,
+        node_pid=node_pid,
+        deg=deg,
+        dege=dege,
+        eoff=eoff,
+        noff=np.searchsorted(node_pid, np.arange(num_parts + 1)).tolist(),
+        bar_delta=bar_delta.tolist(),
+    )
 
-    x = np.zeros(n, dtype=np.int64)  # in-degrees
-    unor = sd.copy()  # node degrees among unoriented instance edges
+
+@dataclass
+class PartOrientations:
+    """What :func:`orient_parts` leaves behind, per position and per part.
+
+    Attributes:
+        sdir: final signed direction per position (+1 = U→V, −1 = V→U).
+        seq: orientation order per position; −1 for the edges the final
+            step oriented U→V.
+        in_degrees: in-degree per compact node.
+        phases: phases executed, per part.
+        token_rounds / proposal_rounds: rounds charged to the repair
+            games and to the proposal steps, per part.
+        final: per part, whether the final U→V step ran (and cost a round).
+    """
+
+    sdir: Any
+    seq: Any
+    in_degrees: Any
+    phases: List[int]
+    token_rounds: List[int]
+    proposal_rounds: List[int]
+    final: List[bool]
+
+    def rounds(self, part: int) -> int:
+        """Rounds charged to one part."""
+        return self.token_rounds[part] + self.proposal_rounds[part] + int(self.final[part])
+
+    def charge(self, part: int, tracker: RoundTracker) -> None:
+        """Charge one part's rounds under the reference engine's labels, in its order."""
+        if self.token_rounds[part]:
+            tracker.charge(self.token_rounds[part], "orientation-token-dropping")
+        if self.proposal_rounds[part]:
+            tracker.charge(self.proposal_rounds[part], "orientation-proposals")
+        if self.final[part]:
+            tracker.charge(1, "orientation-final")
+
+
+def orient_parts(
+    layout: PartLayout,
+    eta,
+    nus: Sequence[float],
+    budgets: Sequence[int],
+) -> PartOrientations:
+    """The batched engine: orient every part of ``layout`` at once.
+
+    ``eta`` holds η_e per position (float64); ``nus`` and ``budgets``
+    hold each part's ν and phase budget.  Parts with Δ̄ = 0 are trivial:
+    they run no phase and are oriented U→V for free.  Every part's
+    orientation, phase count and round charges equal a one-part run of
+    the reference engine (see the module docstring).
+    """
+    np = _np
+    ou, ov, pid, dege = layout.ou, layout.ov, layout.pid, layout.dege
+    node_pid = layout.node_pid
+    eoff, noff, bar = layout.eoff, layout.noff, layout.bar_delta
+    num_parts = len(bar)
+    num = int(layout.ids.size)
+    num_nodes = int(layout.deg.size)
+
+    x = np.zeros(num_nodes, dtype=np.int64)  # in-degrees
+    unor = layout.deg.copy()  # node degrees among unoriented part edges
     # Signed direction code: +1 = U→V, −1 = V→U, 0 = unoriented.  The
     # sign folds the two η comparisons of step 5 into one (multiplying
     # an inequality by −1 flips it exactly, for ints and IEEE floats
-    # alike), halving the per-phase violation-scan dispatches.
+    # alike).
     sdir = np.zeros(num, dtype=np.int8)
     unoriented = np.ones(num, dtype=bool)
     # Signed η, +inf while unoriented: the step-5 scan collapses to one
     # ``sign·diff > seta`` comparison — unoriented edges compare against
-    # +inf and can never flag, so no mask op is needed.
+    # +inf and can never flag.
     seta = np.full(num, np.inf, dtype=np.float64)
     seq = np.full(num, -1, dtype=np.int64)  # position in orientation order
-    d_minus = np.full(n, bar_delta, dtype=np.int64)
-    alpha_memo: Dict[int, int] = {}
-    unoriented_count = num
+    d_minus = np.asarray(bar, dtype=np.int64)[node_pid]
+    alpha_memo: Dict[Tuple[float, int, int], int] = {}
+    remaining = [eoff[p + 1] - eoff[p] for p in range(num_parts)]
+    active_parts = [p for p in range(num_parts) if bar[p] > 0]
+    phases = [0] * num_parts
+    token_rounds = [0] * num_parts
+    proposal_rounds = [0] * num_parts
+    # Per part, the current phase's participation limit and accept cap.
+    # An edge of degree d participates when d > threshold, i.e. when the
+    # sum of its endpoints' unoriented degrees (d + 2) exceeds
+    # ⌊threshold⌋ + 2.  A part that is done (or trivial) keeps a limit
+    # no edge exceeds.
+    never = np.iinfo(np.int64).max
+    limits = np.full(num_parts, never, dtype=np.int64)
+    caps = np.zeros(num_parts, dtype=np.int64)
     seq_counter = 0
-    phases_run = 0
-    proposal_rounds = 0
+    last_phase = max((budgets[p] for p in active_parts), default=0)
     phase = 1
-    while phase <= phase_budget:
-        if not unoriented_count:
+    while phase <= last_phase:
+        live = [p for p in active_parts if remaining[p] and phase <= budgets[p]]
+        if not live:
             break
-        phases_run = phase
-        threshold = (1.0 - resolved_nu) ** phase * bar_delta
+        limits.fill(never)
+        for p in live:
+            limits[p] = int(_thresholds(nus[p], bar[p], budgets[p])[phase]) + 2
 
         # Phase-start snapshot: x is only mutated after every read below.
-        xu = x[ou]
-        xv = x[ov]
-        diff = xv - xu
+        diff = x[ov] - x[ou]
         # Step 5 input: previously oriented edges violating their η
-        # constraint under the phase-start in-degrees (U→V edges violate
-        # when diff > η, V→U edges when diff < η — i.e. sign·diff >
-        # sign·η).  Before anything is oriented the scan is vacuous.
+        # constraint under the phase-start in-degrees, and which parts
+        # have any.  Before anything is oriented the scan is vacuous.
+        violated = [False] * num_parts
+        viol_pos = None
         if seq_counter:
-            viol_mask = sdir * diff > seta
-            has_violated = bool(viol_mask.any())
-        else:
-            viol_mask = None
-            has_violated = False
+            viol_pos = np.nonzero(sdir * diff > seta)[0]
+            if viol_pos.size:
+                violated = (np.bincount(pid[viol_pos], minlength=num_parts) > 0).tolist()
 
         # Steps 1 + 2: participation scan + proposal directions.
-        d_now = unor[eu] + unor[ev] - 2
-        part = np.nonzero(unoriented & (d_now > threshold))[0]
-        if not part.size:
-            alive_d = d_now[unoriented]
-            max_unor = int(alive_d.max()) if alive_d.size else 0
-            phase, phases_run, extra = _fast_forward_phases(
-                phase,
-                phase_budget,
-                max_unor,
-                has_violated,
-                resolved_nu,
-                bar_delta,
-                local_tracker,
+        ends_unor = unor[ou] + unor[ov]
+        cand = np.nonzero(unoriented & (ends_unor > limits[pid]))[0]
+        if not cand.size:
+            # No part proposes: skip to the first phase in which one
+            # does, replaying every live part's charges on the way.
+            alive = np.where(unoriented, ends_unor, 2)
+            next_phase = min(
+                _next_active_phase(
+                    nus[p], bar[p], phase, budgets[p], int(alive[eoff[p]:eoff[p + 1]].max()) - 2
+                )
+                for p in live
             )
-            proposal_rounds += extra
+            for p in live:
+                stop = min(next_phase, budgets[p] + 1)
+                proposal_rounds[p] += 2 * (stop - phase)
+                if violated[p]:
+                    token_rounds[p] += _idle_game_rounds(nus[p], bar[p], phase, stop)
+                phases[p] = stop - 1
+            phase = next_phase
             continue
 
-        cond = diff[part] <= eta_np[part]
-        ptarget = np.where(cond, ov[part], ou[part])
+        for p in live:
+            phases[p] = phase
+            proposal_rounds[p] += 2
+            caps[p] = parameters.k_phase(nus[p], bar[p], phase)
+        cond = diff[cand] <= eta[cand]
+        ptarget = np.where(cond, ov[cand], ou[cand])
 
         # Step 3: per-node accept cap.  A stable argsort by target node
         # groups each node's proposals while preserving ascending edge
-        # order within the group (the instance edge list is ascending),
-        # so cutting each group at rank k_φ reproduces the reference
-        # "smallest edge indices first" choice — and concatenating the
-        # groups in argsort order reproduces the ascending-node accepted
-        # order the repair game's inputs depend on.
-        k_phi = parameters.k_phase(resolved_nu, bar_delta, phase)
+        # order within the group, so cutting each group at rank k_φ
+        # reproduces the reference "smallest edge indices first" choice —
+        # and concatenating the groups in argsort order reproduces, within
+        # each part, the ascending-node accepted order the repair game's
+        # inputs depend on.
         order = np.argsort(ptarget, kind="stable")
         tsort = ptarget[order]
         newgrp = np.empty(tsort.size, dtype=bool)
@@ -652,132 +760,179 @@ def _phase_loop_numpy(
         np.not_equal(tsort[1:], tsort[:-1], out=newgrp[1:])
         grp = np.cumsum(newgrp) - 1
         starts = np.nonzero(newgrp)[0]
-        rank = np.arange(tsort.size, dtype=np.int64) - starts[grp]
-        acc_order = order[rank < k_phi]
-        acc = part[acc_order]  # accepted positions, accepted-list order
+        group_nodes = tsort[starts]
+        group_caps = caps[node_pid[group_nodes]]
+        acc_order = order[np.arange(tsort.size) < (starts + group_caps)[grp]]
+        acc = cand[acc_order]  # accepted positions, accepted-list order
         acc_sdir = np.where(cond[acc_order], np.int8(1), np.int8(-1))
 
-        # The repair game needs the phase-start α (a function of d⁻);
-        # decide now — all inputs are phase-start values — and snapshot
-        # d⁻ (and the per-node accept tallies feeding the game's initial
-        # tokens) only when the game can actually run.
-        delta_phi = parameters.delta_phase(resolved_nu, bar_delta, phase)
-        delta_use = min(delta_phi, k_phi)
-        game_phases = max(0, k_phi // delta_use - 1)
-        run_game = False
-        if has_violated and game_phases > 0:
-            capped = np.minimum(np.bincount(grp), k_phi)
-            max_accepted = int(capped.max())
-            group_nodes = tsort[starts]
-            run_game = min(k_phi, max_accepted) >= 2
-        if run_game:
+        # Which parts run a repair game that can move a token: all inputs
+        # are phase-start values, so decide now, and snapshot d⁻ (for the
+        # phase-start α) only when some game runs.
+        shapes: Dict[int, Tuple[int, int, int]] = {}
+        games: Set[int] = set()
+        for p in live:
+            if violated[p]:
+                shapes[p] = _game_shape(nus[p], bar[p], phase)
+        if any(shape[2] > 0 for shape in shapes.values()):
+            capped = np.minimum(np.bincount(grp), group_caps)
+            max_accepted = np.zeros(num_parts, dtype=np.int64)
+            np.maximum.at(max_accepted, node_pid[group_nodes], capped)
+            for p, (k_phi, _delta, game_phases) in shapes.items():
+                if game_phases > 0 and min(k_phi, int(max_accepted[p])) >= 2:
+                    games.add(p)
+        if games:
             d_minus_old = d_minus.copy()
+            start_tokens = np.zeros(num_nodes, dtype=np.int64)
+            start_tokens[group_nodes] = capped
 
         # Step 4: orient the accepted edges (bincount scatters — exact
-        # integer adds, just cheaper than np.add.at).
-        heads = np.where(acc_sdir == 1, ov[acc], ou[acc])
+        # integer adds).
+        heads = ptarget[acc_order]
         sdir[acc] = acc_sdir
         unoriented[acc] = False
-        seta[acc] = acc_sdir * eta_np[acc]
+        seta[acc] = acc_sdir * eta[acc]
         seq[acc] = np.arange(seq_counter, seq_counter + acc.size, dtype=np.int64)
         seq_counter += int(acc.size)
-        x += np.bincount(heads, minlength=n)
-        ends = np.concatenate((eu[acc], ev[acc]))
-        unor -= np.bincount(ends, minlength=n)
+        x += np.bincount(heads, minlength=num_nodes)
+        ends = np.concatenate((ou[acc], ov[acc]))
+        unor -= np.bincount(ends, minlength=num_nodes)
         np.minimum.at(d_minus, ends, np.concatenate((dege[acc], dege[acc])))
-        unoriented_count -= int(acc.size)
-        proposal_rounds += 2
+        for p, count in enumerate(np.bincount(pid[acc], minlength=num_parts).tolist()):
+            remaining[p] -= count
 
-        # Steps 5 + 6: the repair game (see the reference engine for the
-        # two cheap no-op checks).
-        if not has_violated:
-            phase += 1
-            continue
-        if not run_game:
-            local_tracker.charge(
-                max(1, ROUNDS_PER_PHASE * game_phases), "orientation-token-dropping"
+        # Steps 5 + 6: one repair game per part with violated edges.  A
+        # game that cannot move a token only costs its rounds: one with
+        # zero game phases, or in which no game tail starts active.
+        # Tokens only move out of active tails, and a tail's tokens only
+        # change when tokens move, so a tail that starts inactive stays
+        # inactive (this covers the "fewer than two initial tokens
+        # everywhere" case of the reference engine).
+        for p, (k_phi, delta_use, game_phases) in shapes.items():
+            if p not in games:
+                token_rounds[p] += max(1, ROUNDS_PER_PHASE * game_phases)
+                continue
+            lo, hi = noff[p], noff[p + 1]
+            part_viol = viol_pos[
+                np.searchsorted(viol_pos, eoff[p]):np.searchsorted(viol_pos, eoff[p + 1])
+            ]
+            viol_sorted = part_viol[np.argsort(seq[part_viol])]  # orientation order
+            vdir = sdir[viol_sorted]
+            vtail = np.where(vdir == 1, ou[viol_sorted], ov[viol_sorted])
+            vhead = np.where(vdir == 1, ov[viol_sorted], ou[viol_sorted])
+            # Phase-start α of the part's nodes, per distinct d⁻ value.
+            uniq, inv = np.unique(d_minus_old[lo:hi], return_inverse=True)
+            alpha_uniq = np.empty(uniq.size, dtype=np.int64)
+            for i, degree in enumerate(uniq.tolist()):
+                key = (nus[p], bar[p], degree)
+                alpha = alpha_memo.get(key)
+                if alpha is None:
+                    alpha = parameters.alpha_node(nus[p], bar[p], degree)
+                    alpha_memo[key] = alpha
+                alpha_uniq[i] = alpha
+            alphas = alpha_uniq[inv]
+            # The game runs on part-local node ids (same order as the host
+            # ids), and its arcs run opposite to the orientation: head ->
+            # tail.
+            game_tails = vhead - lo
+            tokens = start_tokens[lo:hi]
+            if not (tokens[game_tails] >= alphas[game_tails] + delta_use).any():
+                token_rounds[p] += max(1, ROUNDS_PER_PHASE * game_phases)
+                continue
+            # Each receiver's in-arcs, ascending (a stable sort by
+            # receiver), and every node's game degree.
+            receivers = vtail - lo
+            by_receiver = np.argsort(receivers, kind="stable")
+            grouped = receivers[by_receiver]
+            bounds = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+            arcs = by_receiver.tolist()
+            in_map = {
+                node: arcs[start:stop]
+                for node, start, stop in zip(
+                    grouped[[0] + bounds].tolist(), [0] + bounds, bounds + [len(arcs)]
+                )
+            }
+            game_deg = np.bincount(np.concatenate((game_tails, receivers)), minlength=hi - lo)
+            touched = np.flatnonzero(game_deg)
+            _x, _y, moved_arcs, _arc_moves, played = _token_dropping_core(
+                n=hi - lo,
+                tails=game_tails.tolist(),
+                in_map=in_map,
+                degrees=dict(zip(touched.tolist(), game_deg[touched].tolist())),
+                k=k_phi,
+                initial_tokens=tokens.tolist(),
+                alphas=alphas.tolist(),
+                delta=delta_use,
             )
-            phase += 1
-            continue
+            token_rounds[p] += max(1, ROUNDS_PER_PHASE * played)
 
-        viol_pos = np.nonzero(viol_mask)[0]
-        viol_sorted = viol_pos[np.argsort(seq[viol_pos])]  # orientation order
-        vdir = sdir[viol_sorted]
-        vtail = np.where(vdir == 1, ou[viol_sorted], ov[viol_sorted])
-        vhead = np.where(vdir == 1, ov[viol_sorted], ou[viol_sorted])
-        # The game arc runs opposite to the orientation: head -> tail.
-        game_tails = vhead.tolist()
-        arc_receivers = vtail.tolist()
-        in_map: Dict[int, List[int]] = {}
-        deg_count: Dict[int, int] = {}
-        for index in range(len(game_tails)):
-            o_head = game_tails[index]
-            o_tail = arc_receivers[index]
-            in_map.setdefault(o_tail, []).append(index)
-            deg_count[o_head] = deg_count.get(o_head, 0) + 1
-            deg_count[o_tail] = deg_count.get(o_tail, 0) + 1
-        initial_tokens = [0] * n
-        for node, count in zip(group_nodes.tolist(), capped.tolist()):
-            initial_tokens[node] = count
-        # Phase-start α, reconstructed per distinct d⁻ value.
-        uniq, inv = np.unique(d_minus_old, return_inverse=True)
-        alpha_uniq = np.empty(uniq.size, dtype=np.int64)
-        for i, degree in enumerate(uniq.tolist()):
-            alpha = alpha_memo.get(degree)
-            if alpha is None:
-                alpha = parameters.alpha_node(resolved_nu, bar_delta, degree)
-                alpha_memo[degree] = alpha
-            alpha_uniq[i] = alpha
-        alpha_old = alpha_uniq[inv].tolist()
-
-        _x, _y, moved_arcs, _arc_moves, game_phases = _token_dropping_core(
-            n=n,
-            tails=game_tails,
-            in_map=in_map,
-            degrees=deg_count,
-            k=k_phi,
-            initial_tokens=initial_tokens,
-            alphas=alpha_old,
-            delta=delta_use,
-        )
-        local_tracker.charge(
-            max(1, ROUNDS_PER_PHASE * game_phases), "orientation-token-dropping"
-        )
-
-        # Step 7: flip every edge over which a token moved.
-        if moved_arcs:
-            moved = np.fromiter(moved_arcs, dtype=np.int64, count=len(moved_arcs))
-            flip_pos = viol_sorted[moved]
-            x -= np.bincount(vhead[moved], minlength=n)
-            x += np.bincount(vtail[moved], minlength=n)
-            sdir[flip_pos] = -sdir[flip_pos]
-            seta[flip_pos] = -seta[flip_pos]
+            # Step 7: flip every edge over which a token moved.
+            if moved_arcs:
+                moved = np.fromiter(moved_arcs, dtype=np.int64, count=len(moved_arcs))
+                flip_pos = viol_sorted[moved]
+                x -= np.bincount(vhead[moved], minlength=num_nodes)
+                x += np.bincount(vtail[moved], minlength=num_nodes)
+                sdir[flip_pos] = -sdir[flip_pos]
+                seta[flip_pos] = -seta[flip_pos]
         phase += 1
 
-    if proposal_rounds:
-        local_tracker.charge(proposal_rounds, "orientation-proposals")
+    # Remaining unoriented edges (constant per node, or a trivial part):
+    # orient from U to V.
+    final = [False] * num_parts
+    rest = np.nonzero(unoriented)[0]
+    if rest.size:
+        x += np.bincount(ov[rest], minlength=num_nodes)
+        sdir[rest] = 1
+        for p in active_parts:
+            final[p] = remaining[p] > 0
+    return PartOrientations(
+        sdir=sdir,
+        seq=seq,
+        in_degrees=x,
+        phases=phases,
+        token_rounds=token_rounds,
+        proposal_rounds=proposal_rounds,
+        final=final,
+    )
 
-    # Materialize the orientation dict with the reference engine's
-    # insertion order: oriented edges in orientation order, then the
-    # remaining edges (oriented U → V) ascending.
-    orientation: Dict[int, Tuple[int, int]] = {}
-    opos = np.nonzero(seq >= 0)[0]
-    if opos.size:
-        opos = opos[np.argsort(seq[opos])]
-        for e, d, a, b in zip(
-            ids[opos].tolist(), sdir[opos].tolist(), ou[opos].tolist(), ov[opos].tolist()
-        ):
-            orientation[e] = (a, b) if d == 1 else (b, a)
-    if unoriented_count:
-        rem = np.nonzero(unoriented)[0]
-        x += np.bincount(ov[rem], minlength=n)
-        for e, a, b in zip(ids[rem].tolist(), ou[rem].tolist(), ov[rem].tolist()):
-            orientation[e] = (a, b)
-        local_tracker.charge(1, "orientation-final")
 
-    # Final signed directions (unoriented edges were just fixed U→V).
-    signed_dirs = (ids, np.where(sdir == 0, np.int8(1), sdir))
-    return orientation, x.tolist(), phases_run, signed_dirs
+def _orient_python(
+    graph: Graph,
+    edges: List[int],
+    static_deg: List[int],
+    edge_degrees: Dict[int, int],
+    o_u: List[int],
+    o_v: List[int],
+    eta_arr: List[float],
+    bar_delta: int,
+    nu: float,
+    max_phases: Optional[int],
+    tracker: RoundTracker,
+) -> Tuple[Dict[int, Tuple[int, int]], List[int], int]:
+    """One part on the reference engine: ``(orientation, in_degrees, phases)``."""
+    n = graph.num_nodes
+    if bar_delta <= 0:
+        # Trivial instance: orient everything U -> V.
+        orientation = {}
+        x = [0] * n
+        for e in edges:
+            orientation[e] = (o_u[e], o_v[e])
+            x[o_v[e]] += 1
+        return orientation, x, 0
+    return _phase_loop_python(
+        graph,
+        n,
+        edges,
+        o_u,
+        o_v,
+        eta_arr,
+        static_deg,
+        edge_degrees,
+        bar_delta,
+        nu,
+        phase_budget(nu, bar_delta, max_phases),
+        tracker,
+    )
 
 
 def compute_balanced_orientation(
@@ -790,12 +945,10 @@ def compute_balanced_orientation(
     tracker: Optional[RoundTracker] = None,
     max_phases: Optional[int] = None,
     scan_path: str = "auto",
-    _precomputed: Optional[
-        Tuple[List[int], List[int], Dict[int, int], List[int], List[int], List[float]]
-    ] = None,
-    _precomputed_np=None,
 ) -> BalancedOrientationResult:
     """Compute a generalized balanced edge orientation (Theorem 5.6).
+
+    A one-part run of the batched engine (:func:`orient_parts`).
 
     Args:
         graph: the host graph.
@@ -808,129 +961,78 @@ def compute_balanced_orientation(
         tracker: optional round tracker.
         max_phases: optional cap on the number of orientation phases
             (defaults to the analytic O(log Δ̄ / ν) phase count).
-        scan_path: which phase-loop engine to use: ``"auto"`` (the
-            vectorized numpy engine when numpy is available and the
-            instance has at least :data:`NUMPY_SCAN_THRESHOLD` edges —
-            overridable via the ``REPRO_SCAN_PATH`` environment variable
-            — pure python otherwise), ``"numpy"`` (force the vectorized
-            engine; raises ``RuntimeError`` when numpy is unavailable) or
-            ``"python"`` (force the pure-python reference engine).  Both
-            engines are required to produce bit-identical results — the
-            knob exists so tests can cross-check them on the same
-            instance.
-        _precomputed: internal fast path for
-            :func:`repro.core.defective_edge_coloring.
-            generalized_defective_two_edge_coloring`, which has already
-            computed ``(edges, static_deg, edge_degrees, o_u, o_v,
-            eta_arr)`` — ``eta`` is then ignored in favor of the dense
-            ``eta_arr``.
-        _precomputed_np: companion fast path: the same instance data as
-            ready-made numpy arrays ``(ids, eu, ev, ou, ov, eta, deg)``
-            for the vectorized engine (ignored by the python engine).
+        scan_path: ``"auto"`` (the batched engine when numpy is available
+            — overridable via the ``REPRO_SCAN_PATH`` environment
+            variable — the reference engine otherwise), ``"numpy"`` (force
+            the batched engine; raises ``RuntimeError`` when numpy is
+            unavailable) or ``"python"`` (force the pure-python reference
+            engine).  Both are required to produce bit-identical results
+            — the knob exists so tests can cross-check them.
 
     Returns a :class:`BalancedOrientationResult` covering every edge of
     the instance.
     """
     local_tracker = RoundTracker()
     n = graph.num_nodes
+    edges = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
 
-    eta_arr: Optional[List[float]] = None
-    if _precomputed is not None:
-        edges, static_deg, edge_degrees, o_u, o_v, eta_arr = _precomputed
-    else:
-        edges = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
-        static_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
-
-    def materialize_lists():
-        """Dense per-edge lists from the array fast path, on demand.
-
-        The defective wrapper skips building them when it expects the
-        vectorized engine to consume its arrays directly; any list
-        consumer (trivial instance, python engine) requests them here.
-        """
-        nonlocal o_u, o_v, eta_arr
-        if o_u is not None:
-            return
+    if resolve_use_numpy(scan_path):
         np = _np
-        ids, _eu, _ev, ou, ov, eta_sel, _deg = _precomputed_np
-        dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_u[ids] = ou
-        dense_v[ids] = ov
-        o_u = dense_u.tolist()
-        o_v = dense_v.tolist()
-        dense_eta = np.zeros(graph.num_edges, dtype=np.float64)
-        dense_eta[ids] = eta_sel
-        eta_arr = dense_eta.tolist()
-
-    bar_delta = max(edge_degrees.values(), default=0)
-
-    if bar_delta <= 0:
-        if o_u is None:
-            materialize_lists()
-        # Trivial instance: orient everything U -> V.
-        orientation = {}
-        x = [0] * n
-        for e in edges:
-            orientation[e] = (o_u[e], o_v[e])
-            x[o_v[e]] += 1
-        return BalancedOrientationResult(
-            orientation=orientation,
-            in_degrees=x,
-            phases=0,
-            rounds=0,
-            nu=0.0,
-            bar_delta=0,
-            edge_degrees=edge_degrees,
+        layout = segment_parts(graph, bipartition, [edges])
+        bar_delta = layout.bar_delta[0]
+        edge_degrees = dict(zip(edges, layout.dege.tolist()))
+        resolved_nu = resolve_nu(nu, epsilon) if bar_delta > 0 else 0.0
+        if bar_delta > 0:
+            eta_np = np.fromiter((eta[e] for e in edges), dtype=np.float64, count=len(edges))
+        else:
+            eta_np = np.zeros(len(edges), dtype=np.float64)
+        run = orient_parts(
+            layout,
+            eta_np,
+            [resolved_nu],
+            [phase_budget(resolved_nu, bar_delta, max_phases) if bar_delta > 0 else 0],
         )
-
-    resolved_nu = nu if nu is not None else parameters.nu_from_epsilon(epsilon)
-    resolved_nu = min(parameters.NU_UPPER_BOUND, max(1e-6, resolved_nu))
-    phase_budget = (
-        max_phases
-        if max_phases is not None
-        else parameters.orientation_phase_count(resolved_nu, bar_delta) + 1
-    )
-
-    # Dense η for O(1) lookups in the phase loops (supplied directly by
-    # the defective-coloring wrapper on the fast path; ``None`` with the
-    # array pack present means "materialize only if a list consumer runs").
-    if eta_arr is None and _precomputed_np is None:
-        eta_arr = [0.0] * graph.num_edges
-        for e in edges:
-            eta_arr[e] = eta[e]
-
-    signed_dirs = None
-    if not _resolve_use_numpy(scan_path, len(edges)) and o_u is None:
-        materialize_lists()
-    if _resolve_use_numpy(scan_path, len(edges)):
-        orientation, x, phases_run, signed_dirs = _phase_loop_numpy(
-            graph,
-            n,
-            edges,
-            o_u,
-            o_v,
-            eta_arr,
-            static_deg,
-            bar_delta,
-            resolved_nu,
-            phase_budget,
-            local_tracker,
-            precomputed_np=_precomputed_np,
+        run.charge(0, local_tracker)
+        phases_run = run.phases[0]
+        # The reference engine's insertion order: oriented edges in
+        # orientation order, then the edges the final step oriented U→V,
+        # ascending.
+        host_u = layout.node_graph[layout.ou]
+        host_v = layout.node_graph[layout.ov]
+        positions = np.nonzero(run.seq >= 0)[0]
+        positions = np.concatenate(
+            (positions[np.argsort(run.seq[positions])], np.nonzero(run.seq < 0)[0])
         )
+        orientation: Dict[int, Tuple[int, int]] = {}
+        for e, d, a, b in zip(
+            layout.ids[positions].tolist(),
+            run.sdir[positions].tolist(),
+            host_u[positions].tolist(),
+            host_v[positions].tolist(),
+        ):
+            orientation[e] = (a, b) if d == 1 else (b, a)
+        in_degrees = np.zeros(n, dtype=np.int64)
+        in_degrees[layout.node_graph] = run.in_degrees
+        x = in_degrees.tolist()
     else:
-        orientation, x, phases_run = _phase_loop_python(
+        static_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
+        bar_delta = max(edge_degrees.values(), default=0)
+        resolved_nu = resolve_nu(nu, epsilon) if bar_delta > 0 else 0.0
+        eta_arr = [0.0] * graph.num_edges
+        if bar_delta > 0:
+            for e in edges:
+                eta_arr[e] = eta[e]
+        orientation, x, phases_run = _orient_python(
             graph,
-            n,
             edges,
-            o_u,
-            o_v,
-            eta_arr,
             static_deg,
             edge_degrees,
+            o_u,
+            o_v,
+            eta_arr,
             bar_delta,
             resolved_nu,
-            phase_budget,
+            max_phases,
             local_tracker,
         )
 
@@ -944,5 +1046,4 @@ def compute_balanced_orientation(
         nu=resolved_nu,
         bar_delta=bar_delta,
         edge_degrees=edge_degrees,
-        _signed_dirs=signed_dirs,
     )

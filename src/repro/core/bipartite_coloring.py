@@ -10,7 +10,11 @@ coloring, and the final color of an edge is the pair
 Disjoint parts receive disjoint color ranges, so the output is a proper
 coloring regardless of how well the defective splits balanced the
 degrees; the quality of the splits only determines the *number* of colors,
-which the benchmarks compare against the (2+ε)Δ bound.
+which the benchmarks compare against the (2+ε)Δ bound.  The splits of
+one level are one
+:func:`repro.core.defective_edge_coloring.defective_two_edge_coloring_level`
+call, and a split reports each class's edge degrees, so the leaf degrees
+and the measured defects need no recount.
 
 All messages exchanged (orientation proposals, token counts, color
 indices bounded by poly(Δ)) fit in O(log n) bits, so the algorithm runs
@@ -25,11 +29,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.coloring.greedy import greedy_edge_coloring_by_classes, proper_edge_schedule
 from repro.core import parameters
-from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
-from repro.core.defective_edge_coloring import (
-    generalized_defective_two_edge_coloring,
-    half_split_lambdas,
-)
+from repro.core.defective_edge_coloring import SplitPart, defective_two_edge_coloring_level
+
+# The one-part split entry stays importable from this module: the
+# repository benchmark (perfbench/) traces it at this import site.
+from repro.core.defective_edge_coloring import generalized_defective_two_edge_coloring  # noqa: F401
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph
@@ -74,41 +78,6 @@ def _degrees_within(graph: Graph, edges: Iterable[int]) -> Tuple[List[int], Dict
         e: node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2 for e in edge_list
     }
     return node_deg, edge_deg
-
-
-def _max_edge_degree_within(graph: Graph, edges: List[int]) -> int:
-    """Maximum edge degree within ``edges`` (no per-edge dict).
-
-    The recursion's split and leaf loops only need the maximum; this
-    skips the per-part dict the full helper builds (one bincount and two
-    gathers when the part is large enough for numpy, a plain scan
-    otherwise — same integer either way).
-    """
-    if not edges:
-        return 0
-    if (
-        _np is not None
-        and len(edges) >= NUMPY_SCAN_THRESHOLD
-        and hasattr(graph, "endpoint_arrays_np")
-    ):
-        np = _np
-        ids = np.fromiter(edges, dtype=np.int64, count=len(edges))
-        eu_all, ev_all = graph.endpoint_arrays_np()
-        eu = eu_all[ids]
-        ev = ev_all[ids]
-        deg = np.bincount(np.concatenate((eu, ev)), minlength=graph.num_nodes)
-        return int((deg[eu] + deg[ev] - 2).max())
-    node_deg = [0] * graph.num_nodes
-    edge_u, edge_v = graph.endpoint_arrays()
-    for e in edges:
-        node_deg[edge_u[e]] += 1
-        node_deg[edge_v[e]] += 1
-    best = 0
-    for e in edges:
-        d = node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2
-        if d > best:
-            best = d
-    return best
 
 
 def bipartite_edge_coloring(
@@ -164,49 +133,51 @@ def bipartite_edge_coloring(
     # (1+χ)^k ≤ 1 + ε/2 as in the proof of Lemma 6.1.
     chi = max(0.01, math.log(1.0 + epsilon / 2.0) / max(1, levels)) if levels > 0 else epsilon
 
-    parts: List[List[int]] = [edges]
+    # Every part carries its edges (ascending) and its largest edge degree.
+    parts: List[Tuple[List[int], int]] = [(edges, bar_delta)]
     defect_history: List[int] = []
+    nu = params.resolved_nu()
     for _level in range(levels):
-        new_parts: List[List[int]] = []
+        splitting = [degree > params.leaf_degree for _part, degree in parts]
+        splits = iter(
+            defective_two_edge_coloring_level(
+                graph,
+                bipartition,
+                [
+                    SplitPart(part, 0.5, chi, params.beta(bar_delta), nu)
+                    for (part, _degree), split in zip(parts, splitting)
+                    if split
+                ],
+                scan_path=scan_path,
+            )
+        )
+        new_parts: List[Tuple[List[int], int]] = []
         # The parts are edge-disjoint subgraphs: the defective splits of one
         # level run in parallel in the distributed model, so the level costs
         # the maximum over the parts, not the sum.
         level_rounds = 0
-        for part in parts:
-            if not part:
-                continue
-            if _max_edge_degree_within(graph, part) <= params.leaf_degree:
+        for part, split in zip(parts, splitting):
+            if not split:
                 new_parts.append(part)
                 continue
-            part_tracker = RoundTracker()
-            split = generalized_defective_two_edge_coloring(
-                graph,
-                bipartition,
-                half_split_lambdas(part),
-                epsilon=chi,
-                edge_set=part,
-                beta=params.beta(bar_delta),
-                nu=params.resolved_nu(),
-                tracker=part_tracker,
-                scan_path=scan_path,
-            )
-            level_rounds = max(level_rounds, part_tracker.total)
-            defect_history.append(split.max_defect())
-            new_parts.append(split.red_sorted())
-            new_parts.append(split.blue_sorted())
+            outcome = next(splits)
+            level_rounds = max(level_rounds, outcome.rounds)
+            red_degree = max(outcome.red_degrees, default=0)
+            blue_degree = max(outcome.blue_degrees, default=0)
+            # An edge's defect is its degree within its own class.
+            defect_history.append(max(red_degree, blue_degree))
+            new_parts.append((outcome.red, red_degree))
+            new_parts.append((outcome.blue, blue_degree))
         own.charge(level_rounds, "bipartite-split-level")
-        parts = [p for p in new_parts if p]
+        parts = [part for part in new_parts if part[0]]
 
     # Leaf coloring: each part gets its own contiguous range of stride colors.
-    leaf_degrees = [_max_edge_degree_within(graph, part) for part in parts]
-    max_leaf_degree = max(leaf_degrees, default=0)
+    max_leaf_degree = max((degree for _part, degree in parts), default=0)
     stride = max_leaf_degree + 1
 
     colors: Dict[int, int] = {}
     leaf_rounds = 0
-    for index, part in enumerate(parts):
-        if not part:
-            continue
+    for index, (part, _degree) in enumerate(parts):
         part_tracker = RoundTracker()
         schedule = proper_edge_schedule(
             graph, part, tracker=part_tracker, scan_path=scan_path

@@ -10,22 +10,31 @@ generalized balanced edge orientation with thresholds ``η_e`` given by
 Equation (3); edges oriented U→V become red and edges oriented V→U become
 blue.  Corollary 5.7 plugs in the orientation algorithm of Theorem 5.6.
 
-The implementation exposes both the reduction (:func:`eta_from_lambda`)
-and the end-to-end coloring
-(:func:`generalized_defective_two_edge_coloring`), operating on an
-explicit ``edge_set`` so the recursive algorithms of Sections 6 and 7 can
-apply it to subgraphs.
+The recursive algorithms of Sections 6 and 7 split many edge-disjoint
+parts per recursion level, and in the distributed model those splits run
+in parallel.  :func:`defective_two_edge_coloring_level` does the same: it
+takes every part of one level, computes η for all of them at once and
+hands them to the batched orientation engine
+(:func:`repro.core.balanced_orientation.orient_parts`) in one call; with
+``scan_path="python"`` it runs the pure-python reference engine part by
+part instead.  :func:`generalized_defective_two_edge_coloring` is the
+one-part public entry, with the full result object, and
+:func:`eta_from_lambda` the reduction itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.balanced_orientation import (
     BalancedOrientationResult,
-    _instance_arrays_np,
     compute_balanced_orientation,
     instance_arrays,
+    orient_parts,
+    phase_budget,
+    resolve_nu,
+    segment_parts,
 )
 from repro.core.engine import _np, resolve_use_numpy
 from repro.distributed.rounds import RoundTracker
@@ -163,6 +172,10 @@ def generalized_defective_two_edge_coloring(
 ) -> DefectiveTwoColoringResult:
     """Solve the generalized (1+ε, 2β)-relaxed defective 2-edge coloring (Corollary 5.7).
 
+    The one-part entry: the same coloring and rounds as one part of
+    :func:`defective_two_edge_coloring_level`, plus the orientation and
+    the inputs the Definition 5.1 checks need.
+
     Args:
         graph: the host graph.
         bipartition: 2-coloring of the nodes; all instance edges must cross it.
@@ -176,121 +189,47 @@ def generalized_defective_two_edge_coloring(
         tracker: optional round tracker.
         scan_path: forwarded to :func:`repro.core.balanced_orientation.
             compute_balanced_orientation` (``"auto"`` / ``"numpy"`` /
-            ``"python"`` participation scans; both forced paths are
-            bit-identical).
+            ``"python"``; both forced engines are bit-identical).
     """
     edges: List[int] = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
     local_tracker = RoundTracker()
-
     resolved_beta = 0.0 if beta is None else float(beta)
 
-    # Degrees and oriented endpoints within the instance, and η_e of
-    # Equation (3) (inlined from :func:`eta_from_lambda` — one call per
-    # edge per split adds up across the recursive decompositions).  On
-    # the numpy fast path every instance array is built once and handed
-    # to the vectorized engine as-is; the float64 expression tree is
-    # identical to the scalar inline, so the η values are IEEE-identical.
-    np = _np
-    pack = _instance_arrays_np(graph, bipartition, edges)
-    precomputed_np = None
-    if pack is not None:
-        ids_np, eu_np, ev_np, ou_np, ov_np, deg_np = pack
-        node_deg = deg_np.tolist()
-        ed_np = deg_np[eu_np] + deg_np[ev_np] - 2
-        edge_degrees = dict(zip(edges, ed_np.tolist()))
-        lam_np = np.fromiter(
-            (lambdas[e] for e in edges), dtype=np.float64, count=len(edges)
+    node_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
+    eta = {
+        e: eta_from_lambda(
+            lambdas[e],
+            node_deg[o_u[e]],
+            node_deg[o_v[e]],
+            edge_degrees[e],
+            epsilon,
+            resolved_beta,
         )
-        eta_vals = (
-            1.0
-            - 2.0 * lam_np
-            - (1.0 - lam_np) * deg_np[ou_np]
-            + lam_np * deg_np[ov_np]
-            + epsilon * (lam_np - 0.5) * ed_np
-            + (2.0 * lam_np - 1.0) * resolved_beta
-        )
-        precomputed_np = (ids_np, eu_np, ev_np, ou_np, ov_np, eta_vals, deg_np)
-        if resolve_use_numpy(scan_path, len(edges)):
-            # The vectorized engine consumes the arrays directly; the
-            # dense per-edge lists would go unread — the orientation
-            # call materializes them on demand if a list consumer
-            # (python engine, trivial instance) runs after all.
-            o_u = o_v = None
-            eta_arr: List[float] = None  # type: ignore[assignment]
-        else:
-            dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_u[ids_np] = ou_np
-            dense_v[ids_np] = ov_np
-            o_u = dense_u.tolist()
-            o_v = dense_v.tolist()
-            dense_eta = np.zeros(graph.num_edges, dtype=np.float64)
-            dense_eta[ids_np] = eta_vals
-            eta_arr = dense_eta.tolist()
-    else:
-        node_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
-        eta_arr = [0.0] * graph.num_edges
-        for e in edges:
-            lam = lambdas[e]
-            eta_arr[e] = (
-                1.0
-                - 2.0 * lam
-                - (1.0 - lam) * node_deg[o_u[e]]
-                + lam * node_deg[o_v[e]]
-                + epsilon * (lam - 0.5) * edge_degrees[e]
-                + (2.0 * lam - 1.0) * resolved_beta
-            )
-
+        for e in edges
+    }
     orientation = compute_balanced_orientation(
         graph,
         bipartition,
-        {},
+        eta,
         epsilon=epsilon,
         edge_set=edges,
         nu=nu,
         tracker=local_tracker,
         scan_path=scan_path,
-        _precomputed=(edges, node_deg, edge_degrees, o_u, o_v, eta_arr),
-        _precomputed_np=precomputed_np,
     )
 
-    signed = orientation._signed_dirs
-    red_list = blue_list = None
-    if signed is not None:
-        # Numpy engine: the final signed directions come out as arrays
-        # over the ascending instance edges — U→V (+1) is RED, V→U is
-        # BLUE, no per-edge dict lookups (bit-identical to the loop).
-        # Filtering an ascending array keeps it ascending, so the sorted
-        # class lists the recursive callers consume come for free.
-        ids_o, dirs = signed
-        red_mask = dirs == 1
-        colors = dict(zip(edges, _np.where(red_mask, RED, BLUE).tolist()))
-        red_list = ids_o[red_mask].tolist()
-        blue_list = ids_o[~red_mask].tolist()
-        red_edges = set(red_list)
-        blue_edges = set(blue_list)
-    else:
-        if o_u is None:
-            # The numpy engine was expected but a trivial instance (or an
-            # exotic path) skipped it: rebuild the dense endpoint lists
-            # from the array pack for the reference extraction below.
-            dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_u[ids_np] = ou_np
-            dense_v[ids_np] = ov_np
-            o_u = dense_u.tolist()
-            o_v = dense_v.tolist()
-        colors = {}
-        red_edges = set()
-        blue_edges = set()
-        arrows = orientation.orientation
-        for e in edges:
-            if arrows[e] == (o_u[e], o_v[e]):
-                colors[e] = RED
-                red_edges.add(e)
-            else:
-                colors[e] = BLUE
-                blue_edges.add(e)
+    # U→V is RED, V→U is BLUE; the classes come out ascending.
+    colors: Dict[int, int] = {}
+    red_list: List[int] = []
+    blue_list: List[int] = []
+    arrows = orientation.orientation
+    for e in edges:
+        if arrows[e][0] == o_u[e]:
+            colors[e] = RED
+            red_list.append(e)
+        else:
+            colors[e] = BLUE
+            blue_list.append(e)
 
     local_tracker.charge(1, "defective-2-coloring-output")
     if tracker is not None:
@@ -298,8 +237,8 @@ def generalized_defective_two_edge_coloring(
 
     result = DefectiveTwoColoringResult(
         colors=colors,
-        red_edges=red_edges,
-        blue_edges=blue_edges,
+        red_edges=set(red_list),
+        blue_edges=set(blue_list),
         orientation=orientation,
         epsilon=epsilon,
         beta=resolved_beta,
@@ -311,6 +250,156 @@ def generalized_defective_two_edge_coloring(
     result._red_sorted = red_list
     result._blue_sorted = blue_list
     return result
+
+
+@dataclass
+class SplitPart:
+    """One edge-disjoint part of a level split, with its Definition 5.1 parameters.
+
+    Attributes:
+        edges: the part's edges, ascending.
+        lambdas: λ_e per edge (aligned with ``edges``), or one λ for all.
+        epsilon: the ε of Definition 5.1 (and of ν = ε/8 when ``nu`` is None).
+        beta: the additive slack of Equation (3).
+        nu: optional override of the orientation's phase parameter.
+    """
+
+    edges: List[int]
+    lambdas: Union[float, Sequence[float]]
+    epsilon: float
+    beta: float
+    nu: Optional[float] = None
+
+
+@dataclass
+class PartSplit:
+    """The red/blue split of one part.
+
+    Attributes:
+        red / blue: the two color classes, ascending.
+        red_degrees / blue_degrees: per edge of the class (aligned), its
+            degree within its class — its measured defect, and the edge
+            degree a recursion on the class starts from.
+        rounds: rounds the part's split costs.
+    """
+
+    red: List[int]
+    blue: List[int]
+    red_degrees: List[int]
+    blue_degrees: List[int]
+    rounds: int
+
+
+def defective_two_edge_coloring_level(
+    graph: Graph,
+    bipartition: Bipartition,
+    parts: Sequence[SplitPart],
+    scan_path: str = "auto",
+) -> List[PartSplit]:
+    """Split every edge-disjoint part of one recursion level red/blue (Corollary 5.7).
+
+    Each part is colored exactly as a
+    :func:`generalized_defective_two_edge_coloring` call on it alone
+    would color it, and its ``rounds`` equal that call's.  The parts run
+    in parallel in the distributed model, so a level costs the maximum
+    over its parts; the caller charges it.
+
+    ``scan_path`` selects the engine: ``"auto"`` / ``"numpy"`` run all
+    parts through the batched orientation engine at once, ``"python"``
+    runs the reference engine part by part.
+    """
+    if not parts:
+        return []
+    if not resolve_use_numpy(scan_path):
+        splits = []
+        for part in parts:
+            lambdas = part.lambdas
+            if isinstance(lambdas, (int, float)):
+                lambdas = [lambdas] * len(part.edges)
+            result = generalized_defective_two_edge_coloring(
+                graph,
+                bipartition,
+                dict(zip(part.edges, lambdas)),
+                epsilon=part.epsilon,
+                edge_set=part.edges,
+                beta=part.beta,
+                nu=part.nu,
+                scan_path="python",
+            )
+            red, blue = result.red_sorted(), result.blue_sorted()
+            defects = measure_defects(graph, result.colors, part.edges, scan_path="python")
+            splits.append(
+                PartSplit(
+                    red=red,
+                    blue=blue,
+                    red_degrees=[defects[e] for e in red],
+                    blue_degrees=[defects[e] for e in blue],
+                    rounds=result.rounds,
+                )
+            )
+        return splits
+
+    np = _np
+    layout = segment_parts(graph, bipartition, [part.edges for part in parts])
+    sizes = [len(part.edges) for part in parts]
+    lam = np.concatenate(
+        [
+            np.full(size, part.lambdas, dtype=np.float64)
+            if isinstance(part.lambdas, (int, float))
+            else np.asarray(part.lambdas, dtype=np.float64)
+            for part, size in zip(parts, sizes)
+        ]
+    )
+    epsilon = np.repeat(np.asarray([part.epsilon for part in parts], dtype=np.float64), sizes)
+    beta = np.repeat(np.asarray([float(part.beta) for part in parts], dtype=np.float64), sizes)
+    deg, ou, ov = layout.deg, layout.ou, layout.ov
+    # Equation (3) elementwise, in the scalar expression's exact order
+    # (so the η values are IEEE-identical to :func:`eta_from_lambda`).
+    eta = (
+        1.0
+        - 2.0 * lam
+        - (1.0 - lam) * deg[ou]
+        + lam * deg[ov]
+        + epsilon * (lam - 0.5) * layout.dege
+        + (2.0 * lam - 1.0) * beta
+    )
+    nus = []
+    budgets = []
+    for part, bar_delta in zip(parts, layout.bar_delta):
+        if bar_delta > 0:
+            nu = resolve_nu(part.nu, part.epsilon)
+            nus.append(nu)
+            budgets.append(phase_budget(nu, bar_delta))
+        else:
+            nus.append(0.0)
+            budgets.append(0)
+    run = orient_parts(layout, eta, nus, budgets)
+
+    # U→V is RED.  Every edge is red or blue, so the blue degree of a
+    # node is its part degree minus its red degree.
+    red_mask = run.sdir == 1
+    red_deg = np.bincount(
+        np.concatenate((ou[red_mask], ov[red_mask])), minlength=deg.size
+    )
+    blue_deg = deg - red_deg
+    class_deg = np.where(red_mask, red_deg[ou] + red_deg[ov], blue_deg[ou] + blue_deg[ov]) - 2
+    splits = []
+    for p in range(len(parts)):
+        lo, hi = layout.eoff[p], layout.eoff[p + 1]
+        ids = layout.ids[lo:hi]
+        red_part = red_mask[lo:hi]
+        blue_part = ~red_part
+        degrees = class_deg[lo:hi]
+        splits.append(
+            PartSplit(
+                red=ids[red_part].tolist(),
+                blue=ids[blue_part].tolist(),
+                red_degrees=degrees[red_part].tolist(),
+                blue_degrees=degrees[blue_part].tolist(),
+                rounds=run.rounds(p) + 1,  # + the output round
+            )
+        )
+    return splits
 
 
 def measure_defects(
@@ -327,8 +416,6 @@ def measure_defects(
     uses ``"auto"``, steerable via ``REPRO_SCAN_PATH``).
     """
     edge_list = list(edges)
-    from repro.core.engine import _np, resolve_use_numpy
-
     if resolve_use_numpy(scan_path, len(edge_list)):
         # Vectorized (node, color) counting: color values are factorized
         # through np.unique, so any int color space works; counts and

@@ -1,8 +1,8 @@
 """Shared numpy-engine selection for the vectorized/reference twins.
 
 Several hot paths ship two bit-identical implementations — a vectorized
-numpy engine and a pure-python reference twin: the orientation
-proposal/accept loop (:mod:`repro.core.balanced_orientation`), the
+numpy engine and a pure-python reference twin: the batched orientation
+engine (:mod:`repro.core.balanced_orientation`), the
 line-graph Linial schedule and greedy machinery
 (:mod:`repro.coloring.greedy`), the defective min-conflict reduction
 (:mod:`repro.coloring.defective_vertex`) and the defect measurement
@@ -13,7 +13,9 @@ knob with identical semantics everywhere:
 * ``"auto"`` — numpy when available and the instance has at least
   :data:`NUMPY_SCAN_THRESHOLD` elements (overridable process-wide via
   the ``REPRO_SCAN_PATH`` environment variable, which CI uses to run
-  the whole suite on one forced engine);
+  the whole suite on one forced engine).  The orientation engine passes
+  no size: it batches whole recursion levels, so it runs vectorized at
+  every part size;
 * ``"numpy"`` — force the vectorized engine (``RuntimeError`` when
   numpy is unavailable);
 * ``"python"`` — force the reference twin.
@@ -25,6 +27,7 @@ every pair of twins bit-identical.
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 try:  # numpy accelerates the vectorized engines when present.
     import numpy as _np
@@ -42,12 +45,16 @@ NUMPY_SCAN_THRESHOLD = 128
 _ENV_SCAN_PATH = os.environ.get("REPRO_SCAN_PATH", "").strip().lower() or None
 
 
-def resolve_use_numpy(scan_path: str, size: int) -> bool:
-    """Whether to run the vectorized engine (see the module docstring)."""
+def resolve_use_numpy(scan_path: str, size: Optional[int] = None) -> bool:
+    """Whether to run the vectorized engine (see the module docstring).
+
+    ``size`` is the instance size ``"auto"`` compares with
+    :data:`NUMPY_SCAN_THRESHOLD`; ``None`` means no size cut.
+    """
     if scan_path == "auto" and _ENV_SCAN_PATH in ("numpy", "python"):
         scan_path = _ENV_SCAN_PATH
     if scan_path == "auto":
-        return _np is not None and size >= NUMPY_SCAN_THRESHOLD
+        return _np is not None and (size is None or size >= NUMPY_SCAN_THRESHOLD)
     if scan_path == "numpy":
         if _np is None:
             raise RuntimeError("scan_path='numpy' requested but numpy is unavailable")

@@ -36,6 +36,11 @@ Three layers, mirroring the paper:
   already small — which is exactly the degree-reduction guarantee
   Lemma D.3 provides.
 
+In both lemmas the parts of one recursion level are edge-disjoint, and
+their defective splits run in parallel: each level is one
+:func:`repro.core.defective_edge_coloring.defective_two_edge_coloring_level`
+call, charged the maximum over its parts.
+
 * :func:`list_edge_coloring` — Theorem D.4.  A defective 4-coloring of
   the nodes splits the uncolored graph into bipartite class pairs; each
   pair is partially colored with :func:`partially_color_bipartite`; the
@@ -65,10 +70,11 @@ from repro.coloring.greedy import (
 )
 from repro.coloring.linial import linial_vertex_coloring
 from repro.core import parameters
-from repro.core.defective_edge_coloring import (
-    generalized_defective_two_edge_coloring,
-    half_split_lambdas,
-)
+from repro.core.defective_edge_coloring import SplitPart, defective_two_edge_coloring_level
+
+# The one-part split entry stays importable from this module: the
+# repository benchmark (perfbench/) traces it at this import site.
+from repro.core.defective_edge_coloring import generalized_defective_two_edge_coloring  # noqa: F401
 from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
@@ -129,10 +135,13 @@ class _Part:
     ``c`` is in the edge's list *and* in the part's share of the color
     space.  Halving a part's color space by value is one mask AND per
     edge, so nothing list-shaped is ever copied down the recursion.
+    ``degrees`` holds the edge degrees within the part when they are
+    already known.
     """
 
     edges: List[int]
     windows: Dict[int, int]
+    degrees: Optional[Dict[int, int]] = None
 
 
 def _kth_color(mask: int, k: int) -> int:
@@ -151,21 +160,6 @@ def _edge_degrees_within(graph: Graph, edges: Iterable[int]) -> Dict[int, int]:
         node_deg[edge_u[e]] += 1
         node_deg[edge_v[e]] += 1
     return {e: node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2 for e in edge_list}
-
-
-def _max_edge_degree_within(graph: Graph, edges: Sequence[int]) -> int:
-    """Maximum edge degree within the given edge set (no per-edge dict)."""
-    edge_u, edge_v = graph.endpoint_arrays()
-    node_deg = [0] * graph.num_nodes
-    for e in edges:
-        node_deg[edge_u[e]] += 1
-        node_deg[edge_v[e]] += 1
-    best = 0
-    for e in edges:
-        d = node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2
-        if d > best:
-            best = d
-    return best
 
 
 # ---------------------------------------------------------------------------- Lemma D.2
@@ -215,7 +209,8 @@ def solve_relaxed_instance(
         tracker: optional round tracker.
         scan_path: orientation engine selector, forwarded to
             :func:`repro.core.defective_edge_coloring.
-            generalized_defective_two_edge_coloring` for every split.
+            defective_two_edge_coloring_level`, which splits all parts
+            of a recursion level in one call.
         list_masks: the lists as color bitmasks (bit ``c`` set iff ``c``
             is allowed), as :func:`partially_color_bipartite` computes
             them; replaces ``lists``.
@@ -247,28 +242,31 @@ def solve_relaxed_instance(
         color_union |= list_masks[e]
     max_levels = max(1, math.ceil(math.log2(max(2, color_union.bit_count()))) + 1)
 
-    parts: List[_Part] = [_Part(edges=edges, windows=list_masks)]
+    parts: List[_Part] = [_Part(edges=edges, windows=list_masks, degrees=degrees)]
     #: Passive entries are ``(edge, window)`` pairs.
     passive_levels: List[List[Tuple[int, int]]] = []
 
+    epsilon = max(params.epsilon, 0.5)
+    nu = params.resolved_nu()
     for _level in range(max_levels):
         if not parts:
             break
-        new_parts: List[_Part] = []
-        level_passive: List[Tuple[int, int]] = []
-        # The parts at one level are edge-disjoint and use disjoint color
-        # spaces: their defective splits run in parallel, so the level costs
-        # the maximum over the parts.
-        level_rounds = 0
+        # Per part, its passive entries in the order the part produces
+        # them; the level's batch lists the parts in order.
+        part_passive: List[List[Tuple[int, int]]] = []
+        splits: List[SplitPart] = []
+        pending: List[Tuple[List[Tuple[int, int]], Dict[int, int], int]] = []
         for part in parts:
-            part_degrees = _edge_degrees_within(graph, part.edges)
+            passive: List[Tuple[int, int]] = []
+            part_passive.append(passive)
+            part_degrees = part.degrees or _edge_degrees_within(graph, part.edges)
             windows = part.windows
             active: List[int] = []
             for e in part.edges:
                 degree = part_degrees[e]
                 window = windows[e]
                 if degree <= params.leaf_degree or window.bit_count() < params.passive_slack_threshold * max(1, degree):
-                    level_passive.append((e, window))
+                    passive.append((e, window))
                 else:
                     active.append(e)
             if not active:
@@ -280,44 +278,51 @@ def solve_relaxed_instance(
                 union |= windows[e]
             union_size = union.bit_count()
             if union_size <= 1:
-                level_passive.extend((e, windows[e]) for e in active)
+                passive.extend((e, windows[e]) for e in active)
                 continue
             low = (1 << _kth_color(union, union_size // 2)) - 1
-            lambdas = {}
+            lambdas = []
             for e in active:
                 size = windows[e].bit_count()
-                lambdas[e] = (windows[e] & low).bit_count() / size if size else 0.5
-            part_tracker = RoundTracker()
-            split = generalized_defective_two_edge_coloring(
-                graph,
-                bipartition,
-                lambdas,
-                epsilon=max(params.epsilon, 0.5),
-                edge_set=active,
-                beta=params.beta(max(part_degrees.values(), default=0)),
-                nu=params.resolved_nu(),
-                tracker=part_tracker,
-                scan_path=scan_path,
+                lambdas.append((windows[e] & low).bit_count() / size if size else 0.5)
+            splits.append(
+                SplitPart(
+                    active,
+                    lambdas,
+                    epsilon,
+                    params.beta(max(part_degrees.values(), default=0)),
+                    nu,
+                )
             )
-            level_rounds = max(level_rounds, part_tracker.total)
-            for side_edges in (split.red_sorted(), split.blue_sorted()):
-                if not side_edges:
-                    continue
-                side = low if split.colors[side_edges[0]] == 0 else ~low
-                side_degrees = _edge_degrees_within(graph, side_edges)
+            pending.append((passive, windows, low))
+        # The parts at one level are edge-disjoint and use disjoint color
+        # spaces: their defective splits run in parallel, so the level costs
+        # the maximum over the parts.
+        level_rounds = 0
+        new_parts: List[_Part] = []
+        for (passive, windows, low), split in zip(
+            pending,
+            defective_two_edge_coloring_level(graph, bipartition, splits, scan_path=scan_path),
+        ):
+            level_rounds = max(level_rounds, split.rounds)
+            # Red edges keep the low colors, blue edges the others.
+            for side_edges, side_degrees, side in (
+                (split.red, split.red_degrees, low),
+                (split.blue, split.blue_degrees, ~low),
+            ):
                 survivors: Dict[int, int] = {}
-                for e in side_edges:
+                for e, degree in zip(side_edges, side_degrees):
                     kept = windows[e] & side
-                    if kept.bit_count() > side_degrees[e]:
+                    if kept.bit_count() > degree:
                         survivors[e] = kept
                     else:
                         # Correctness net: the split left this edge with
                         # too few colors; keep it at the parent level.
-                        level_passive.append((e, windows[e]))
+                        passive.append((e, windows[e]))
                 if survivors:
                     new_parts.append(_Part(edges=list(survivors), windows=survivors))
         own.charge(level_rounds, "list-solver-split-level")
-        passive_levels.append(level_passive)
+        passive_levels.append([entry for passive in part_passive for entry in passive])
         parts = new_parts
 
     # Any still-active leaves are colored first (deepest batch).
@@ -378,39 +383,46 @@ def partially_color_bipartite(
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
-    edges = [e for e in edge_set if e not in coloring]
+    edges = sorted(e for e in edge_set if e not in coloring)
     newly: Dict[int, int] = {}
     if not edges:
         return newly
 
     split_levels = max(1, math.ceil(math.log2(max(2, params.list_reduction_parts))))
-    parts: List[List[int]] = [edges]
+    # Every part carries its edges (ascending) and their degrees within
+    # the part; a split hands both over for its two classes.
+    degrees = _edge_degrees_within(graph, edges)
+    parts: List[Tuple[List[int], List[int]]] = [(edges, [degrees[e] for e in edges])]
+    epsilon = max(params.epsilon, 0.5)
+    nu = params.resolved_nu()
     for _ in range(split_levels):
-        next_parts: List[List[int]] = []
-        # Parts are edge-disjoint: the splits of one level run in parallel.
-        level_rounds = 0
-        for part in parts:
-            part_max_degree = _max_edge_degree_within(graph, part)
-            if len(part) <= 1 or part_max_degree <= 1:
-                next_parts.append(part)
-                continue
-            part_tracker = RoundTracker()
-            split = generalized_defective_two_edge_coloring(
+        # A part whose edge degrees are all ≤ 1 is not split further.
+        splitting = [max(part_degrees) > 1 for _part, part_degrees in parts]
+        splits = iter(
+            defective_two_edge_coloring_level(
                 graph,
                 bipartition,
-                half_split_lambdas(part),
-                epsilon=max(params.epsilon, 0.5),
-                edge_set=part,
-                beta=params.beta(part_max_degree),
-                nu=params.resolved_nu(),
-                tracker=part_tracker,
+                [
+                    SplitPart(part, 0.5, epsilon, params.beta(max(part_degrees)), nu)
+                    for (part, part_degrees), split in zip(parts, splitting)
+                    if split
+                ],
                 scan_path=scan_path,
             )
-            level_rounds = max(level_rounds, part_tracker.total)
-            next_parts.append(split.red_sorted())
-            next_parts.append(split.blue_sorted())
+        )
+        next_parts: List[Tuple[List[int], List[int]]] = []
+        # Parts are edge-disjoint: the splits of one level run in parallel.
+        level_rounds = 0
+        for part, split in zip(parts, splitting):
+            if not split:
+                next_parts.append(part)
+                continue
+            outcome = next(splits)
+            level_rounds = max(level_rounds, outcome.rounds)
+            next_parts.append((outcome.red, outcome.red_degrees))
+            next_parts.append((outcome.blue, outcome.blue_degrees))
         own.charge(level_rounds, "degree-reduction-split-level")
-        parts = [p for p in next_parts if p]
+        parts = [part for part in next_parts if part[0]]
 
     if masks is None:
         masks = UsedColorMasks.from_edge_coloring(graph, coloring)
@@ -423,12 +435,10 @@ def partially_color_bipartite(
     # The parts are edge-disjoint and hold only edges uncolored on entry,
     # and each solve colors edges of its own part only: every part edge
     # is still uncolored when its part's turn comes.
-    for part in parts:
-        part_degrees = _edge_degrees_within(graph, part)
+    for part, part_degrees in parts:
         available: Dict[int, int] = {}
-        for e in part:
+        for e, degree in zip(part, part_degrees):
             free = list_masks[e] & ~masks.blocked(edge_u[e], edge_v[e])
-            degree = part_degrees[e]
             threshold = threshold_memo.get(degree)
             if threshold is None:
                 threshold = max(degree + 1, math.ceil(list_slack * degree))

@@ -24,7 +24,8 @@ class ListEdgeColoringInstance:
 
     Attributes:
         graph: the host graph.
-        lists: per-edge color lists, keyed by edge index.
+        lists: per-edge color lists, keyed by edge index (read-only:
+            :func:`uniform_instance` gives every edge the same tuple).
         color_space: size ``C`` of the color space; colors are
             ``0 .. C - 1``.
         edge_set: the instance's edges (defaults to the keys of ``lists``).
@@ -35,7 +36,7 @@ class ListEdgeColoringInstance:
     """
 
     graph: Graph
-    lists: Dict[int, List[int]]
+    lists: Dict[int, Sequence[int]]
     color_space: int
     edge_set: Set[int] = field(default_factory=set)
     validate: InitVar[bool] = True
@@ -158,16 +159,18 @@ class ListEdgeColoringInstance:
 def uniform_instance(graph: Graph, num_colors: Optional[int] = None) -> ListEdgeColoringInstance:
     """The standard K-edge-coloring instance: every edge gets the list {0, .., K-1}.
 
+    All edges share one ``tuple(range(K))``.
+
     ``K`` defaults to ``2Δ − 1``, so the instance is a (degree+1)-list
     instance (``deg(e) + 1 ≤ 2Δ − 1``).
     """
     if num_colors is None:
         num_colors = max(1, 2 * graph.max_degree - 1)
-    palette = list(range(num_colors))
-    lists = {e: list(palette) for e in graph.edges()}
-    # Every list is a fresh copy of the same in-range palette: skip the
-    # per-list range validation, and give every edge the palette's mask
-    # without a per-color pass.
+    # Every edge shares one immutable palette (every reader of
+    # ``instance.lists`` only reads): no per-edge copy, no per-list range
+    # validation, and every edge gets the palette's mask without a
+    # per-color pass.
+    lists = dict.fromkeys(graph.edges(), tuple(range(num_colors)))
     instance = ListEdgeColoringInstance(
         graph=graph, lists=lists, color_space=num_colors, validate=False
     )

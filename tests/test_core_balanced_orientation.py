@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import parameters
-from repro.core.balanced_orientation import (
-    NUMPY_SCAN_THRESHOLD,
-    _np,
-    compute_balanced_orientation,
-)
+from repro.core.balanced_orientation import compute_balanced_orientation
+from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
 from repro.verification.checkers import orientation_in_degrees
@@ -106,15 +103,15 @@ class TestBalanceGuarantee:
 
 
 class TestScanPathCrossCheck:
-    """The numpy and pure-python participation scans must be bit-identical.
+    """The batched and pure-python engines must be bit-identical.
 
-    Instances are chosen on both sides of the auto-mode threshold
-    (NUMPY_SCAN_THRESHOLD edges), so the forced paths are each exercised
-    where auto mode would *not* have picked them.
+    Instances lie on both sides of NUMPY_SCAN_THRESHOLD edges, the
+    size cut of the other twins' ``"auto"`` mode; the orientation
+    engine's ``"auto"`` mode runs the batched engine at every size.
     """
 
     # (nodes, degree) -> edges = nodes * degree / 2: 32 edges sit below
-    # the engine threshold, 128, 512 and 768 at or above it.
+    # the threshold, 128, 512 and 768 at or above it.
     CASES = [(16, 4), (32, 8), (64, 16), (96, 16)]
 
     @staticmethod

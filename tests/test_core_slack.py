@@ -17,6 +17,23 @@ class TestInstanceBasics:
         assert instance.is_degree_plus_one()
         assert instance.min_slack() >= 1.0
 
+    def test_uniform_instance_shares_one_palette(self):
+        from repro.core.list_edge_coloring import list_edge_coloring
+        from repro.verification.checkers import list_coloring_violations
+
+        graph = generators.random_regular_graph(24, 6, seed=2)
+        instance = uniform_instance(graph)
+        palette = instance.lists[0]
+        assert palette == tuple(range(instance.color_space))
+        assert all(instance.lists[e] is palette for e in graph.edges())
+        assert instance.list_masks() == dict.fromkeys(
+            graph.edges(), (1 << instance.color_space) - 1
+        )
+        result = list_edge_coloring(graph, instance=instance)
+        assert len(result.colors) == graph.num_edges
+        assert list_coloring_violations(graph, result.colors, instance.lists) == []
+        assert instance.lists[0] is palette
+
     def test_degree_plus_one_instance_default_lists(self):
         graph = generators.grid_graph(4, 4)
         instance = degree_plus_one_instance(graph)

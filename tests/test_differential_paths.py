@@ -1,6 +1,7 @@
 """Differential test matrix: every fast path against its reference twin.
 
-The vectorized engines — the orientation proposal/accept loop, the
+The vectorized engines — the batched orientation engine (one call per
+recursion level, checked against one call per part), the
 line-graph Linial schedule, the defective min-conflict reduction, the
 local-search round loop, and the simulator's batched send *and* receive
 planes — each ship with a pure-python (or per-node) reference twin.
@@ -23,10 +24,16 @@ from repro import api
 from repro.coloring.greedy import proper_edge_schedule
 from repro.coloring.linial import LinialNodeAlgorithm
 from repro.core.balanced_orientation import (
-    NUMPY_SCAN_THRESHOLD,
-    _np,
     compute_balanced_orientation,
+    phase_budget,
+    resolve_nu,
 )
+from repro.core.defective_edge_coloring import (
+    SplitPart,
+    defective_two_edge_coloring_level,
+    generalized_defective_two_edge_coloring,
+)
+from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.distributed.algorithms import NodeAlgorithm
 from repro.distributed.faults import FaultPlan
 from repro.distributed.model import Model
@@ -127,6 +134,96 @@ class TestOrientationEngineMatrix:
         assert engine.resolve_use_numpy("auto", 1) is True
         # Explicit arguments always win over the environment.
         assert engine.resolve_use_numpy("python", 10**6) is False
+
+
+@requires_numpy
+class TestSplitLevelMatrix:
+    """defective_two_edge_coloring_level: one batched call per level vs
+    one generalized_defective_two_edge_coloring call per part.
+
+    The level holds a part above the 128-edge mark, one below it with a
+    smaller Δ̄ (so the two phase budgets differ, and its ν comes from
+    ε/8), and a matching (Δ̄ = 0); its token games move arcs.
+    """
+
+    @staticmethod
+    def _level():
+        graph, bipartition = generators.regular_bipartite_graph(64, 16, seed=5)
+        edge_u, edge_v = graph.endpoint_arrays()
+        big = [e for e in graph.edges() if e % 5]
+        small = [e for e in graph.edges() if e % 10 == 0][:100]
+        matching, matched = [], set()
+        for e in range(5, graph.num_edges, 10):
+            if edge_u[e] not in matched and edge_v[e] not in matched:
+                matching.append(e)
+                matched.update((edge_u[e], edge_v[e]))
+        parts = [
+            SplitPart(big, [(e % 7) / 6 for e in big], epsilon=0.5, beta=0.0, nu=0.125),
+            SplitPart(small, 0.5, epsilon=0.25, beta=1.0),
+            SplitPart(matching, 0.3, epsilon=0.5, beta=0.0, nu=0.125),
+        ]
+        return graph, bipartition, parts
+
+    @staticmethod
+    def _one_part(graph, bipartition, part, path):
+        lambdas = part.lambdas
+        if isinstance(lambdas, float):
+            lambdas = [lambdas] * len(part.edges)
+        return generalized_defective_two_edge_coloring(
+            graph,
+            bipartition,
+            dict(zip(part.edges, lambdas)),
+            part.epsilon,
+            edge_set=part.edges,
+            beta=part.beta,
+            nu=part.nu,
+            scan_path=path,
+        )
+
+    def test_level_cells_cover_the_matrix(self):
+        graph, bipartition, parts = self._level()
+        sizes = [len(part.edges) for part in parts]
+        assert sizes[0] > 128 > sizes[1]
+        results = [self._one_part(graph, bipartition, part, "python") for part in parts]
+        bar = [result.orientation.bar_delta for result in results]
+        assert bar[2] == 0 and bar[0] > bar[1] > 0
+        budgets = [
+            phase_budget(resolve_nu(part.nu, part.epsilon), degree)
+            for part, degree in zip(parts[:2], bar[:2])
+        ]
+        assert budgets[0] != budgets[1]
+
+    @pytest.mark.parametrize("path", ["python", "numpy"])
+    def test_level_matches_per_part_calls(self, path, monkeypatch):
+        from repro.core import balanced_orientation
+
+        moved = []
+        play = balanced_orientation._token_dropping_core
+
+        def counting(**kwargs):
+            outcome = play(**kwargs)
+            moved.append(len(outcome[2]))
+            return outcome
+
+        monkeypatch.setattr(balanced_orientation, "_token_dropping_core", counting)
+        graph, bipartition, parts = self._level()
+        level = defective_two_edge_coloring_level(graph, bipartition, parts, scan_path=path)
+        assert sum(moved) > 0  # the level's token games move arcs
+        assert len(level) == len(parts)
+        for part, split in zip(parts, level):
+            single = self._one_part(graph, bipartition, part, path)
+            assert split.red == single.red_sorted()
+            assert split.blue == single.blue_sorted()
+            assert split.rounds == single.rounds
+            defects = single.defects
+            assert split.red_degrees == [defects[e] for e in split.red]
+            assert split.blue_degrees == [defects[e] for e in split.blue]
+
+    def test_engines_bit_identical(self):
+        graph, bipartition, parts = self._level()
+        python = defective_two_edge_coloring_level(graph, bipartition, parts, scan_path="python")
+        batched = defective_two_edge_coloring_level(graph, bipartition, parts, scan_path="numpy")
+        assert python == batched
 
 
 @requires_numpy
